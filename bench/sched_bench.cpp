@@ -1,10 +1,10 @@
-// sched_bench — scheduler contention microbenchmark: mutex vs lock-free
-// queue backends (MEEK_SCHED variants, selected explicitly here) under the
-// fine-grained-task regime the serve and search paths produce.
+// sched_bench — scheduler contention microbenchmark: the sched::pool
+// regression harness under the fine-grained-task regime the serve and
+// search paths produce.
 //
-// For each (backend, worker count, shape) it posts `--tasks` ~1 µs spin
-// tasks from an external producer thread — the gateway/service posting
-// pattern, so every post exercises the inject path — and measures:
+// For each (worker count, shape) it posts `--tasks` ~1 µs spin tasks from an
+// external producer thread — the gateway/service posting pattern — and
+// measures:
 //   * post_ms   — wall time to push the whole batch in,
 //   * join_ms   — last post until the final task retired,
 //   * total_ms  — first post until the final task retired,
@@ -15,21 +15,15 @@
 // fresh pool; the best run is reported, machine-readable, one line per
 // config:
 //
-//   sched_bench: backend=lockfree workers=4 shape=uniform tasks=50000 ...
-//   sched_bench_ratio: workers=4 shape=uniform lockfree_vs_mutex=1.87x
-//
-// `--check` exits nonzero unless the lock-free backend's uniform-batch
-// throughput is >= the mutex backend's at every worker count — the CI gate
-// that keeps the hot path from regressing behind the escape hatch.
+//   sched_bench: workers=4 shape=uniform tasks=40000 task_ns=1000 ...
 //
 // Options: --quick (CI size: 40k tasks, workers 1/4), --workers CSV,
-// --tasks N, --task-ns N, --repeat R, --check.
+// --tasks N, --task-ns N, --repeat R.
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -67,9 +61,8 @@ std::size_t task_home(std::size_t i, u32 workers, bool skewed) {
     return 1 + (i / 11) % (workers - 1);
 }
 
-run_result run_once(sched::queue_backend backend, u32 workers, bool skewed,
-                    std::size_t tasks, long task_ns) {
-    sched::pool p(workers, backend);
+run_result run_once(u32 workers, bool skewed, std::size_t tasks, long task_ns) {
+    sched::pool p(workers);
     std::atomic<std::size_t> done{0};
     std::mutex m;
     std::condition_variable cv;
@@ -102,30 +95,27 @@ run_result run_once(sched::queue_backend backend, u32 workers, bool skewed,
     return r;
 }
 
-run_result best_of(sched::queue_backend backend, u32 workers, bool skewed,
-                   std::size_t tasks, long task_ns, u32 repeat) {
+run_result best_of(u32 workers, bool skewed, std::size_t tasks, long task_ns,
+                   u32 repeat) {
     run_result best;
     for (u32 i = 0; i < repeat; ++i) {
-        run_result r = run_once(backend, workers, skewed, tasks, task_ns);
+        run_result r = run_once(workers, skewed, tasks, task_ns);
         if (i == 0 || r.total_ms < best.total_ms) best = r;
     }
     return best;
 }
 
-void print_line(sched::queue_backend backend, u32 workers, bool skewed,
-                std::size_t tasks, long task_ns, const run_result& r) {
+void print_line(u32 workers, bool skewed, std::size_t tasks, long task_ns,
+                const run_result& r) {
     std::printf(
-        "sched_bench: backend=%s workers=%u shape=%s tasks=%zu task_ns=%ld "
+        "sched_bench: workers=%u shape=%s tasks=%zu task_ns=%ld "
         "post_ms=%.3f join_ms=%.3f total_ms=%.3f mtasks_per_s=%.3f "
-        "steals=%llu steal_attempts=%llu steal_success=%.1f%% "
-        "ring_posts=%llu ring_full=%llu\n",
-        sched::backend_name(backend), workers, skewed ? "skewed" : "uniform",
-        tasks, task_ns, r.post_ms, r.join_ms, r.total_ms, r.mtasks_per_s,
+        "steals=%llu steal_attempts=%llu steal_success=%.1f%%\n",
+        workers, skewed ? "skewed" : "uniform", tasks, task_ns, r.post_ms,
+        r.join_ms, r.total_ms, r.mtasks_per_s,
         static_cast<unsigned long long>(r.stats.steals()),
         static_cast<unsigned long long>(r.stats.steal_attempts()),
-        100.0 * r.stats.steal_success_rate(),
-        static_cast<unsigned long long>(r.stats.posts_via_ring()),
-        static_cast<unsigned long long>(r.stats.ring_full_posts()));
+        100.0 * r.stats.steal_success_rate());
     std::fflush(stdout);
 }
 
@@ -150,7 +140,6 @@ int main(int argc, char** argv) {
     std::size_t tasks = 200'000;
     long task_ns = 1'000;
     u32 repeat = 3;
-    bool check = false;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -172,12 +161,10 @@ int main(int argc, char** argv) {
             task_ns = std::strtol(value("--task-ns"), nullptr, 10);
         } else if (arg == "--repeat") {
             repeat = static_cast<u32>(std::strtoul(value("--repeat"), nullptr, 10));
-        } else if (arg == "--check") {
-            check = true;
         } else {
             std::fprintf(stderr,
                          "usage: %s [--quick] [--workers CSV] [--tasks N] "
-                         "[--task-ns N] [--repeat R] [--check]\n",
+                         "[--task-ns N] [--repeat R]\n",
                          argv[0]);
             return 2;
         }
@@ -187,34 +174,11 @@ int main(int argc, char** argv) {
         return 2;
     }
 
-    bool check_ok = true;
     for (const u32 w : workers) {
         for (const bool skewed : {false, true}) {
-            const run_result mx = best_of(sched::queue_backend::mutex, w,
-                                          skewed, tasks, task_ns, repeat);
-            print_line(sched::queue_backend::mutex, w, skewed, tasks, task_ns, mx);
-            const run_result lf = best_of(sched::queue_backend::lockfree, w,
-                                          skewed, tasks, task_ns, repeat);
-            print_line(sched::queue_backend::lockfree, w, skewed, tasks,
-                       task_ns, lf);
-            const double ratio =
-                mx.mtasks_per_s > 0.0 ? lf.mtasks_per_s / mx.mtasks_per_s : 0.0;
-            std::printf("sched_bench_ratio: workers=%u shape=%s "
-                        "lockfree_vs_mutex=%.2fx\n",
-                        w, skewed ? "skewed" : "uniform", ratio);
-            std::fflush(stdout);
-            if (check && !skewed) {
-                // 3% guard band: on a box where both variants sit at the
-                // serial floor (single core, or fully oversubscribed) the
-                // ratio hovers at 1.00 and a strict >= would flip a coin on
-                // noise. A real hot-path regression lands far below 0.97.
-                const bool ok = lf.mtasks_per_s >= 0.97 * mx.mtasks_per_s;
-                std::printf("[check] lockfree uniform throughput >= mutex "
-                            "(workers=%u, 3%% tolerance): %s\n",
-                            w, ok ? "OK" : "FAIL");
-                if (!ok) check_ok = false;
-            }
+            print_line(w, skewed, tasks, task_ns,
+                       best_of(w, skewed, tasks, task_ns, repeat));
         }
     }
-    return check_ok ? 0 : 1;
+    return 0;
 }

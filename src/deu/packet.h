@@ -19,7 +19,10 @@ enum class packet_kind : u8 {
     segment_end,    // ERCP marker: data = dynamic instruction count of segment
 };
 
-using dest_mask_t = u16;  // bit i = little core i (supports up to 16 cores)
+using dest_mask_t = u16;  // bit i = little core i
+
+// The most little cores a status multicast can address: one mask bit each.
+inline constexpr u32 k_max_little_cores = sizeof(dest_mask_t) * 8;
 
 struct fwd_packet {
     packet_kind kind = packet_kind::runtime_load;

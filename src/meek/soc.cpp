@@ -10,6 +10,9 @@ namespace {
 
 constexpr cycle_t k_drain_tick_bound = 200'000'000;
 
+// Every addressable core index must stay inside the unsigned shift below.
+static_assert(k_max_little_cores <= sizeof(unsigned) * 8,
+              "dest_mask_t is wider than the 1u << core shift in bit()");
 dest_mask_t bit(int core) { return static_cast<dest_mask_t>(1u << core); }
 
 }  // namespace

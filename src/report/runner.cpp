@@ -103,16 +103,6 @@ system_run run_on_big_core(const big_core_config& cfg, const program& prog,
     return out;
 }
 
-slowdown_row measure_workload(const workload_profile& profile,
-                              const figure6_options& opts) {
-    serve::workload_cache cache = make_session_cache(1);
-    const std::vector<sim::run_spec> specs = fig6_specs(profile, opts, &cache);
-    std::vector<sim::run_outcome> outs;
-    outs.reserve(specs.size());
-    for (const sim::run_spec& spec : specs) outs.push_back(sim::execute(spec));
-    return reduce_fig6(profile, outs);
-}
-
 std::vector<slowdown_row> measure_suite(std::span<const workload_profile> profiles,
                                         const figure6_options& opts,
                                         sim::executor& ex) {
@@ -136,16 +126,6 @@ std::vector<slowdown_row> measure_suite(std::span<const workload_profile> profil
             profiles[i], std::span(outs).subspan(begin, end - begin)));
     }
     return rows;
-}
-
-meek_measurement measure_meek(const sim::scenario& sc, const workload_profile& profile,
-                              u64 instructions, u64 seed) {
-    serve::workload_cache cache = make_session_cache(1);
-    const sim::run_outcome baseline = sim::execute(
-        make_spec(sim::vanilla_scenario(), profile, instructions, seed, &cache));
-    const sim::run_outcome meek =
-        sim::execute(make_spec(sc, profile, instructions, seed, &cache));
-    return reduce_meek(baseline, meek);
 }
 
 meek_measurement measure_meek(const soc_config& cfg, const workload_profile& profile,

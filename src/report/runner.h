@@ -55,11 +55,6 @@ struct figure6_options {
     u64 seed = 0xC0FFEE;
 };
 
-// Measures one workload across the Fig. 6 systems (serial; one sim job per
-// system under the hood).
-slowdown_row measure_workload(const workload_profile& profile,
-                              const figure6_options& opts);
-
 // Fig. 6 suite driver: every (workload x system) run is an independent sim
 // job submitted through `ex`; rows come back in profile order.
 std::vector<slowdown_row> measure_suite(std::span<const workload_profile> profiles,
@@ -73,8 +68,7 @@ struct meek_measurement {
     cycle_t baseline_cycles = 0;
     double slowdown = 0.0;
 };
-meek_measurement measure_meek(const sim::scenario& sc, const workload_profile& profile,
-                              u64 instructions, u64 seed = 0xC0FFEE);
+// Serial; simulates the caller's exact (possibly customised) soc_config.
 meek_measurement measure_meek(const soc_config& cfg, const workload_profile& profile,
                               u64 instructions, u64 seed = 0xC0FFEE);
 

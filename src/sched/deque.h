@@ -5,12 +5,8 @@
 //
 // One mutex per deque, not one per pool: the owner and at most one thief
 // contend on a single worker's queue, never the whole pool. This is the
-// `MEEK_SCHED=mutex` backend — the original implementation, kept as the
-// A/B baseline and escape hatch for sched::pool's lock-free hot path
-// (chase_lev.h + mpmc_ring.h), which replaced it once fine-grained tasks
-// (serve lines, search probes) made one lock per push/pop/steal the
-// throughput ceiling. Same contract either way: scheduling order may vary
-// run to run; results are keyed by submission index.
+// only queue behind sched::pool. Scheduling order may vary run to run;
+// results are keyed by submission index.
 #pragma once
 
 #include <deque>

@@ -1,36 +1,22 @@
 #include "sched/pool.h"
 
 #include <chrono>
-#include <cstdlib>
-#include <cstring>
 
 namespace meek::sched {
 
 namespace {
 // Which pool (if any) the current thread is a worker of, and its index —
-// lets post() recognise the Chase-Lev owner and push bottom directly
-// instead of detouring through its own inject ring.
+// backs this_worker_index().
 thread_local const pool* tl_worker_pool = nullptr;
 thread_local std::size_t tl_worker_index = 0;
 }  // namespace
-
-queue_backend resolve_backend() {
-    if (const char* env = std::getenv("MEEK_SCHED")) {
-        if (std::strcmp(env, "mutex") == 0) return queue_backend::mutex;
-    }
-    return queue_backend::lockfree;
-}
-
-const char* backend_name(queue_backend b) {
-    return b == queue_backend::mutex ? "mutex" : "lockfree";
-}
 
 std::optional<std::size_t> pool::this_worker_index() const {
     if (tl_worker_pool == this) return tl_worker_index;
     return std::nullopt;
 }
 
-pool::pool(u32 threads, queue_backend backend) : backend_(backend) {
+pool::pool(u32 threads) {
     const u32 n = threads > 0 ? threads : 1;
     workers_.reserve(n);
     for (u32 i = 0; i < n; ++i) {
@@ -65,112 +51,26 @@ void pool::wake_one_if_sleeping() {
 }
 
 void pool::post(std::size_t home, task t) {
-    const std::size_t h = home % workers_.size();
-    worker_state& w = *workers_[h];
     // Count before publishing: if the push landed first, a worker could pop
     // the task and fetch_sub below zero, wrapping the counter and turning
     // every sleeper's "queued_ > 0" predicate into a busy spin until this
     // thread caught up. Counting first only risks one benign spurious scan.
     queued_.fetch_add(1, std::memory_order_seq_cst);
-    if (backend_ == queue_backend::mutex) {
-        w.mx_deque.push_bottom(std::move(t));
-    } else if (tl_worker_pool == this && tl_worker_index == h) {
-        // Chase-Lev owner path: this thread IS worker h, push is lock-free.
-        w.cl_deque.push_bottom(new task(std::move(t)));
-    } else {
-        // External producer (or a sibling worker): MPMC inject ring. A full
-        // ring means the home (and every thief) is saturated — backpressure,
-        // not degradation: yield a bounded number of times so consumers get
-        // cycles to drain, and only then fall back to the mutexed overflow
-        // list (a worker blocked mid-task forever must not wedge posters).
-        task* p = new task(std::move(t));
-        bool pushed = w.inject.try_push(p);
-        for (int spin = 0; !pushed && spin < kRingFullRetries; ++spin) {
-            std::this_thread::yield();
-            pushed = w.inject.try_push(p);
-        }
-        if (pushed) {
-            w.posts_via_ring.fetch_add(1, std::memory_order_relaxed);
-        } else {
-            w.ring_full_posts.fetch_add(1, std::memory_order_relaxed);
-            std::lock_guard<std::mutex> lock(w.overflow_mutex);
-            w.overflow.push_back(p);
-            w.overflow_size.fetch_add(1, std::memory_order_relaxed);
-        }
-    }
+    workers_[home % workers_.size()]->deque.push_bottom(std::move(t));
     wake_one_if_sleeping();
 }
 
-void pool::drain_inject(std::size_t self) {
-    worker_state& me = *workers_[self];
-    task* p = nullptr;
-    // Ring pops FIFO and the deque pushes bottom, so the producer's push
-    // order is preserved: the executor's cheapest-first order still means
-    // the owner's LIFO pop starts on its own most expensive job. The drain
-    // is capped at one ring's worth per call so a producer refilling at
-    // consumption speed cannot pin the owner in this loop forever.
-    for (std::size_t moved = 0;
-         moved < kInjectRingCapacity && me.inject.try_pop(&p); ++moved) {
-        me.cl_deque.push_bottom(p);
-    }
-    if (me.overflow_size.load(std::memory_order_relaxed) > 0) {
-        std::deque<task*> grabbed;
-        {
-            std::lock_guard<std::mutex> lock(me.overflow_mutex);
-            grabbed.swap(me.overflow);
-            me.overflow_size.store(0, std::memory_order_relaxed);
-        }
-        for (task* q : grabbed) me.cl_deque.push_bottom(q);
-    }
-}
-
-bool pool::acquire(std::size_t self, task* out_fn, task** out_ptr, bool* stolen,
-                   u64* attempts) {
-    const std::size_t n = workers_.size();
-    if (backend_ == queue_backend::mutex) {
-        if (workers_[self]->mx_deque.pop_bottom(out_fn)) {
-            *stolen = false;
-            return true;
-        }
-        for (std::size_t k = 1; k < n; ++k) {
-            const std::size_t victim = (self + k) % n;
-            ++*attempts;
-            if (workers_[victim]->mx_deque.steal_top(out_fn)) {
-                *stolen = true;
-                return true;
-            }
-        }
-        return false;
-    }
-
-    drain_inject(self);
-    if ((*out_ptr = workers_[self]->cl_deque.pop_bottom()) != nullptr) {
+bool pool::acquire(std::size_t self, task* out, bool* stolen, u64* attempts) {
+    if (workers_[self]->deque.pop_bottom(out)) {
         *stolen = false;
         return true;
     }
+    const std::size_t n = workers_.size();
     for (std::size_t k = 1; k < n; ++k) {
-        worker_state& victim = *workers_[(self + k) % n];
         ++*attempts;
-        // Deque top first (the victim's oldest = cheapest queued task), then
-        // anything still parked in its inject ring, then — rarest — its
-        // overflow list, so a blocked owner cannot strand backpressured work.
-        if ((*out_ptr = victim.cl_deque.steal_top()) != nullptr) {
+        if (workers_[(self + k) % n]->deque.steal_top(out)) {
             *stolen = true;
             return true;
-        }
-        if (victim.inject.try_pop(out_ptr)) {
-            *stolen = true;
-            return true;
-        }
-        if (victim.overflow_size.load(std::memory_order_relaxed) > 0) {
-            std::lock_guard<std::mutex> lock(victim.overflow_mutex);
-            if (!victim.overflow.empty()) {
-                *out_ptr = victim.overflow.front();
-                victim.overflow.pop_front();
-                victim.overflow_size.fetch_sub(1, std::memory_order_relaxed);
-                *stolen = true;
-                return true;
-            }
         }
     }
     return false;
@@ -183,10 +83,9 @@ void pool::worker_loop(std::size_t self) {
     u32 idle_sweeps = 0;
     for (;;) {
         task t;
-        task* tp = nullptr;
         bool stolen = false;
         u64 attempts = 0;
-        const bool got = acquire(self, &t, &tp, &stolen, &attempts);
+        const bool got = acquire(self, &t, &stolen, &attempts);
         if (attempts > 0) {
             me.steal_attempts.fetch_add(attempts, std::memory_order_relaxed);
         }
@@ -200,12 +99,7 @@ void pool::worker_loop(std::size_t self) {
             me.executed.fetch_add(1, std::memory_order_relaxed);
             if (stolen) me.stolen.fetch_add(1, std::memory_order_relaxed);
             const auto start = std::chrono::steady_clock::now();
-            if (tp != nullptr) {
-                (*tp)();
-                delete tp;
-            } else {
-                t();
-            }
+            t();
             const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
                                 std::chrono::steady_clock::now() - start)
                                 .count();
@@ -213,13 +107,10 @@ void pool::worker_loop(std::size_t self) {
                                  std::memory_order_relaxed);
             continue;
         }
-        // Empty sweep: yield a few times before touching the condition
-        // variable. This is what keeps the lock-free path fast in both
-        // directions — a producer mid-publish (claimed a ring slot or a
-        // queued_ increment, store not yet visible) gets cycles to finish
-        // instead of being starved by spinning thieves, and a worker that
-        // drained its bounded ring gives the producer a burst window instead
-        // of futex-sleeping and paying a wake + context switch per task.
+        // Empty sweep: yield up to kIdleYieldSweeps times before touching the
+        // condition variable (see the constant for why). On an
+        // oversubscribed box the yield also hands the CPU to the producer
+        // instead of spinning against it.
         if (++idle_sweeps <= kIdleYieldSweeps &&
             !stopping_.load(std::memory_order_acquire)) {
             std::this_thread::yield();
@@ -252,8 +143,6 @@ pool_stats pool::stats() const {
         c.executed = w->executed.load(std::memory_order_relaxed);
         c.stolen = w->stolen.load(std::memory_order_relaxed);
         c.steal_attempts = w->steal_attempts.load(std::memory_order_relaxed);
-        c.posts_via_ring = w->posts_via_ring.load(std::memory_order_relaxed);
-        c.ring_full_posts = w->ring_full_posts.load(std::memory_order_relaxed);
         c.busy_ms =
             static_cast<double>(w->busy_ns.load(std::memory_order_relaxed)) / 1e6;
         s.workers.push_back(c);
@@ -266,8 +155,6 @@ void pool::reset_stats() {
         w->executed.store(0, std::memory_order_relaxed);
         w->stolen.store(0, std::memory_order_relaxed);
         w->steal_attempts.store(0, std::memory_order_relaxed);
-        w->posts_via_ring.store(0, std::memory_order_relaxed);
-        w->ring_full_posts.store(0, std::memory_order_relaxed);
         w->busy_ns.store(0, std::memory_order_relaxed);
     }
 }

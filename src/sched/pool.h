@@ -4,8 +4,9 @@
 // the same cost-balancing rule.
 //
 // Scheduling model:
-//   * every worker owns one deque; a posted task names its *home* worker
-//     (cost-aware placement computed by the caller, or round-robin);
+//   * every worker owns one deque (sched/deque.h); a posted task names its
+//     *home* worker (cost-aware placement computed by the caller, or
+//     round-robin);
 //   * a worker drains its own deque LIFO (newest first), and when that runs
 //     dry it steals FIFO (oldest first) from the other workers, scanning
 //     from its right-hand neighbour so thieves spread instead of mobbing
@@ -13,17 +14,9 @@
 //   * an idle worker with nothing to steal sleeps on a condition variable
 //     and is woken by the next post.
 //
-// Queue backends (`MEEK_SCHED=mutex|lockfree`, default lockfree): the hot
-// path is lock-free — each worker owns a Chase-Lev deque (sched/chase_lev.h)
-// it alone pushes/pops at the bottom, thieves CAS the top, and posts from
-// *other* threads (the executor's caller, gateway accept threads, service
-// handlers) enter through the home worker's bounded MPMC inject ring
-// (sched/mpmc_ring.h), which the owner drains into its deque before popping
-// so the caller's cheapest-first push order still yields
-// run-own-longest-first LIFO. A full ring falls back to a tiny mutexed
-// overflow list (counted in `ring_full_posts`) instead of blocking the
-// producer. `mutex` selects the original one-mutex-per-deque task_deque —
-// kept as the A/B baseline and escape hatch, same contract, same counters.
+// Every deque is guarded by its own mutex, so the owner and a thief contend
+// on one worker's queue, never the whole pool. Jobs run for milliseconds, so
+// one lock per push/pop/steal is far below anything a batch can measure.
 //
 // Determinism: the pool promises nothing about *execution order* — callers
 // that need deterministic results must key them by submission index, the way
@@ -41,38 +34,22 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <thread>
 #include <vector>
 
-#include "sched/chase_lev.h"
 #include "sched/deque.h"
-#include "sched/mpmc_ring.h"
 
 namespace meek::sched {
 
-// Which queue structures back the pool. `lockfree` is the default hot path;
-// `mutex` is the original implementation, kept runtime-selectable so the two
-// stay A/B-benchmarkable (bench/sched_bench.cpp) and cross-checkable in CI.
-enum class queue_backend { mutex, lockfree };
-
-// MEEK_SCHED=mutex|lockfree, anything else (or unset) -> lockfree.
-queue_backend resolve_backend();
-const char* backend_name(queue_backend b);
-
 // One worker's lifetime counters. `stolen` counts tasks this worker took
-// from someone else's deque or inject ring; `executed` includes them.
-// `posts_via_ring` / `ring_full_posts` count tasks that *entered* this
-// worker's inject ring / overflowed it (zero under the mutex backend).
+// from someone else's deque; `executed` includes them.
 struct worker_counters {
     u64 executed = 0;
     u64 stolen = 0;
     u64 steal_attempts = 0;  // probes of other workers, successful or not
-    u64 posts_via_ring = 0;
-    u64 ring_full_posts = 0;
     double busy_ms = 0.0;    // wall time spent inside tasks
 };
 
@@ -94,16 +71,6 @@ struct pool_stats {
         for (const worker_counters& w : workers) n += w.steal_attempts;
         return n;
     }
-    u64 posts_via_ring() const {
-        u64 n = 0;
-        for (const worker_counters& w : workers) n += w.posts_via_ring;
-        return n;
-    }
-    u64 ring_full_posts() const {
-        u64 n = 0;
-        for (const worker_counters& w : workers) n += w.ring_full_posts;
-        return n;
-    }
     // Fraction of steal probes that came back with a task (0 when none ran).
     double steal_success_rate() const {
         const u64 attempts = steal_attempts();
@@ -118,23 +85,15 @@ struct pool_stats {
 
 class pool {
 public:
-    // Per-worker inject-ring capacity (tasks); posts past it take the
-    // mutexed overflow path. Exposed so the backpressure tests can exceed it.
-    static constexpr std::size_t kInjectRingCapacity = 1024;
-    // How many times a poster yields waiting for ring space before giving up
-    // and taking the overflow lock. Bounded so a worker that blocks forever
-    // inside a task cannot wedge external posters.
-    static constexpr int kRingFullRetries = 64;
     // How many empty steal sweeps a worker tolerates (yielding between them)
     // before it blocks on the condition variable. Yield-then-sleep keeps a
-    // briefly-starved worker off the futex and gives a mid-publish producer
-    // the cycles to finish.
+    // briefly-starved worker off the futex, so a producer posting a burst
+    // hands it the next task without a wake + context switch per task.
     static constexpr u32 kIdleYieldSweeps = 4;
 
     // Exactly `threads` workers (floored at 1) — thread-count *resolution*
-    // (MEEK_THREADS and friends) stays the executor's business. The backend
-    // defaults to the MEEK_SCHED environment switch.
-    explicit pool(u32 threads, queue_backend backend = resolve_backend());
+    // (MEEK_THREADS and friends) stays the executor's business.
+    explicit pool(u32 threads);
 
     // Drains every posted task, then joins the workers.
     ~pool();
@@ -143,19 +102,14 @@ public:
     pool& operator=(const pool&) = delete;
 
     u32 size() const { return static_cast<u32>(workers_.size()); }
-    queue_backend backend() const { return backend_; }
 
     // Queue `t` on worker `home`'s deque (mod size, so any index is legal)
-    // and wake a sleeper. Thread-safe, including from inside tasks; under
-    // the lockfree backend a worker posting to itself takes the owner path,
-    // every other producer goes through the home worker's inject ring.
+    // and wake a sleeper. Thread-safe, including from inside tasks.
     void post(std::size_t home, task t);
 
     // The calling thread's worker index in *this* pool, or nullopt when the
-    // caller is not one of this pool's workers. A task that posts follow-up
-    // work to `*this_worker_index()` takes the lock-free Chase-Lev owner
-    // path; the guaranteed-steal tests also use it to pin work to a worker
-    // that is known to be busy.
+    // caller is not one of this pool's workers. The guaranteed-steal tests
+    // use it to pin work to a worker that is known to be busy.
     std::optional<std::size_t> this_worker_index() const;
 
     // Wait-free counter snapshot (relaxed atomic reads, no mutex).
@@ -164,41 +118,24 @@ public:
 
 private:
     struct worker_state {
-        // Lock-free backend: owner deque + external-producer inject ring +
-        // ring-full overflow (mutexed, cold path only).
-        chase_lev_deque<task> cl_deque;
-        mpmc_ring<task*> inject{kInjectRingCapacity};
-        std::mutex overflow_mutex;
-        std::deque<task*> overflow;
-        std::atomic<u32> overflow_size{0};
-
-        // Mutex backend: the original one-mutex deque.
-        task_deque mx_deque;
+        task_deque deque;
 
         // Counters are relaxed atomics: written by whichever thread did the
         // deed, snapshotted by stats() without stopping anyone.
         std::atomic<u64> executed{0};
         std::atomic<u64> stolen{0};
         std::atomic<u64> steal_attempts{0};
-        std::atomic<u64> posts_via_ring{0};
-        std::atomic<u64> ring_full_posts{0};
         std::atomic<u64> busy_ns{0};
     };
 
     void worker_loop(std::size_t self);
-    // Own queues first, then steal sweep. Exactly one of *out_fn (mutex
-    // backend) / *out_ptr (lockfree backend) is filled on success. Returns
-    // false when every queue came up empty.
-    bool acquire(std::size_t self, task* out_fn, task** out_ptr, bool* stolen,
-                 u64* attempts);
-    // Owner-only: move everything from the inject ring (and overflow, if
-    // any) into the Chase-Lev deque, restoring the caller's push order.
-    void drain_inject(std::size_t self);
+    // Own deque first, then steal sweep. Returns false when every deque came
+    // up empty.
+    bool acquire(std::size_t self, task* out, bool* stolen, u64* attempts);
     void wake_one_if_sleeping();
 
     std::vector<std::unique_ptr<worker_state>> workers_;
     std::vector<std::thread> threads_;
-    const queue_backend backend_;
 
     std::mutex sleep_mutex_;
     std::condition_variable wake_;

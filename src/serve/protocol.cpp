@@ -2,6 +2,7 @@
 
 #include <istream>
 
+#include "deu/packet.h"
 #include "serve/json.h"
 #include "sim/executor.h"
 #include "workloads/profile.h"
@@ -242,8 +243,9 @@ std::string resolve_request(const run_request& req, u64 repeat, sim::run_spec* o
         fabric_kind fabric = fabric_kind::f2;
         little_core_tuning tuning = little_core_tuning::optimized;
         if (req.cores) {
-            if (*req.cores == 0 || *req.cores > 64) {
-                return "cores out of range (1..64)";
+            if (*req.cores == 0 || *req.cores > k_max_little_cores) {
+                return "cores out of range (1.." + std::to_string(k_max_little_cores) +
+                       ")";
             }
             cores = static_cast<u32>(*req.cores);
         }

@@ -66,8 +66,6 @@ void executor::contribute_metrics(obs::metrics_snapshot& snap,
     snap.set_counter(p + ".executed", s.executed());
     snap.set_counter(p + ".steals", s.steals());
     snap.set_counter(p + ".steal_attempts", s.steal_attempts());
-    snap.set_counter(p + ".posts_via_ring", s.posts_via_ring());
-    snap.set_counter(p + ".ring_full_posts", s.ring_full_posts());
     snap.set_gauge(p + ".threads", pool_.size());
     snap.set_gauge(p + ".busy_us", static_cast<u64>(s.busy_ms() * 1000.0));
 }

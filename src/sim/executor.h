@@ -102,14 +102,11 @@ public:
                             std::string_view prefix = "pool") const;
 
     // The scheduler's own per-worker counters: tasks executed, tasks stolen,
-    // steal probes, inject-ring traffic, busy wall time. Steals > 0 on a
-    // skewed batch is the work-stealing layer doing its job. The snapshot is
-    // wait-free (relaxed atomics) — cheap enough to read between batches.
+    // steal probes, busy wall time. Steals > 0 on a skewed batch is the
+    // work-stealing layer doing its job. The snapshot is wait-free (relaxed
+    // atomics) — cheap enough to read between batches.
     sched::pool_stats scheduler_stats() const { return pool_.stats(); }
     void reset_scheduler_stats() { pool_.reset_stats(); }
-
-    // Which queue backend the pool runs (MEEK_SCHED=mutex|lockfree).
-    sched::queue_backend scheduler_backend() const { return pool_.backend(); }
 
     // Submit one job; the future holds the result or the job's exception.
     // Placement is round-robin — single submissions carry no cost hint.

@@ -10,16 +10,12 @@
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
-#include <cstdlib>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
-#include <string>
 #include <thread>
 #include <vector>
 
-#include "sched/chase_lev.h"
-#include "sched/mpmc_ring.h"
 #include "sched/placement.h"
 #include "sched/pool.h"
 #include "sim/executor.h"
@@ -88,147 +84,17 @@ TEST(placement, degenerate_shapes_are_safe) {
     EXPECT_DOUBLE_EQ(loads[0] + loads[1], 3.0);
 }
 
-// ---------------------------------------------------------------- chase-lev ---
-
-TEST(chase_lev, owner_lifo_order_and_buffer_growth) {
-    sched::chase_lev_deque<int> d(8);  // rounds to 8; growth is exercised
-    const int n = 10'000;
-    for (int i = 0; i < n; ++i) d.push_bottom(new int(i));
-    EXPECT_GE(d.capacity(), static_cast<std::size_t>(n)) << "buffer must grow";
-    for (int i = n - 1; i >= 0; --i) {
-        int* p = d.pop_bottom();
-        ASSERT_NE(p, nullptr);
-        EXPECT_EQ(*p, i) << "owner pop is LIFO";
-        delete p;
-    }
-    EXPECT_EQ(d.pop_bottom(), nullptr);
-    EXPECT_EQ(d.steal_top(), nullptr);
-}
-
-TEST(chase_lev, destructor_reclaims_unpopped_items) {
-    // No leak under ASan: items still queued when the deque dies are deleted.
-    sched::chase_lev_deque<int> d;
-    for (int i = 0; i < 100; ++i) d.push_bottom(new int(i));
-}
-
-TEST(chase_lev, owner_vs_thieves_interleave_stress) {
-    // One owner pushes (and intermittently pops) through several buffer
-    // growths while three thieves hammer steal_top; every element must be
-    // consumed exactly once across the four threads — lost CAS races may
-    // only delay an element, never duplicate or drop it.
-    const int n = 20'000;
-    sched::chase_lev_deque<int> d(8);
-    std::vector<std::atomic<u32>> seen(n);
-    for (auto& s : seen) s.store(0);
-    std::atomic<int> consumed{0};
-
-    auto consume = [&](int* p) {
-        seen[static_cast<std::size_t>(*p)].fetch_add(1);
-        delete p;
-        consumed.fetch_add(1);
-    };
-
-    std::vector<std::thread> thieves;
-    for (int t = 0; t < 3; ++t) {
-        thieves.emplace_back([&] {
-            while (consumed.load() < n) {
-                if (int* p = d.steal_top()) {
-                    consume(p);
-                } else {
-                    std::this_thread::yield();
-                }
-            }
-        });
-    }
-    // Owner: push everything, popping one of every four to interleave the
-    // bottom end with the thieves' top end.
-    for (int i = 0; i < n; ++i) {
-        d.push_bottom(new int(i));
-        if (i % 4 == 3) {
-            if (int* p = d.pop_bottom()) consume(p);
-        }
-    }
-    while (int* p = d.pop_bottom()) consume(p);
-    for (auto& t : thieves) t.join();
-
-    EXPECT_EQ(consumed.load(), n);
-    for (int i = 0; i < n; ++i) {
-        EXPECT_EQ(seen[static_cast<std::size_t>(i)].load(), 1u)
-            << "element " << i << " consumed other than exactly once";
-    }
-}
-
-// ---------------------------------------------------------------- mpmc ring ---
-
-TEST(mpmc_ring, bounded_full_and_empty_transitions) {
-    sched::mpmc_ring<u64> r(100);  // rounds up to 128
-    EXPECT_EQ(r.capacity(), 128u);
-    for (u64 i = 0; i < r.capacity(); ++i) {
-        EXPECT_TRUE(r.try_push(i)) << "slot " << i << " of a fresh ring";
-    }
-    EXPECT_FALSE(r.try_push(999)) << "full ring must refuse, not block";
-    u64 v = 0;
-    EXPECT_TRUE(r.try_pop(&v));
-    EXPECT_EQ(v, 0u) << "ring is FIFO";
-    EXPECT_TRUE(r.try_push(999)) << "freed slot is reusable (wraparound seq)";
-    for (u64 i = 1; i < r.capacity(); ++i) {
-        ASSERT_TRUE(r.try_pop(&v));
-        EXPECT_EQ(v, i);
-    }
-    EXPECT_TRUE(r.try_pop(&v));
-    EXPECT_EQ(v, 999u);
-    EXPECT_FALSE(r.try_pop(&v)) << "empty ring must refuse";
-}
-
-TEST(mpmc_ring, multi_producer_multi_consumer_hammer) {
-    // 8 producers x 10k values through a deliberately small ring (lots of
-    // full/empty transitions and seq wraparounds), 4 consumers; every value
-    // must come out exactly once.
-    const u64 producers = 8, per_producer = 10'000, consumers = 4;
-    const u64 total = producers * per_producer;
-    sched::mpmc_ring<u64> r(256);
-    std::vector<std::atomic<u32>> seen(total);
-    for (auto& s : seen) s.store(0);
-    std::atomic<u64> consumed{0};
-
-    std::vector<std::thread> threads;
-    for (u64 p = 0; p < producers; ++p) {
-        threads.emplace_back([&, p] {
-            for (u64 i = 0; i < per_producer; ++i) {
-                const u64 v = p * per_producer + i;
-                while (!r.try_push(v)) std::this_thread::yield();
-            }
-        });
-    }
-    for (u64 c = 0; c < consumers; ++c) {
-        threads.emplace_back([&] {
-            u64 v = 0;
-            while (consumed.load() < total) {
-                if (r.try_pop(&v)) {
-                    seen[v].fetch_add(1);
-                    consumed.fetch_add(1);
-                } else {
-                    std::this_thread::yield();
-                }
-            }
-        });
-    }
-    for (auto& t : threads) t.join();
-
-    EXPECT_EQ(consumed.load(), total);
-    for (u64 v = 0; v < total; ++v) {
-        ASSERT_EQ(seen[v].load(), 1u) << "value " << v;
-    }
-}
-
 // --------------------------------------------------------------------- pool ---
 
 TEST(sched_pool, runs_every_posted_task_and_counts_them) {
-    sched::pool p(3);
-    EXPECT_EQ(p.size(), 3u);
     std::atomic<int> ran{0};
     std::mutex m;
     std::condition_variable cv;
+    // Declared after the primitives its tasks touch, so its joining
+    // destructor runs first: a worker may still be inside notify_all() when
+    // the wait below returns.
+    sched::pool p(3);
+    EXPECT_EQ(p.size(), 3u);
     const int n = 64;
     for (int i = 0; i < n; ++i) {
         p.post(static_cast<std::size_t>(i), [&] {
@@ -248,14 +114,14 @@ TEST(sched_pool, runs_every_posted_task_and_counts_them) {
 
 TEST(sched_pool, idle_workers_steal_from_a_busy_one) {
     // Guaranteed-steal construction: a blocker task, from *inside* its
-    // worker, posts the light tasks to its own index — the owner-path push,
-    // so they sit on the busy worker's own deque — then blocks until they
-    // are all done. The only way the batch can finish is the other workers
-    // stealing every light task; the counters must agree exactly.
-    sched::pool p(4);
+    // worker, posts the light tasks to its own index — so they sit on the
+    // busy worker's own deque — then blocks until they are all done. The
+    // only way the batch can finish is the other workers stealing every
+    // light task; the counters must agree exactly.
     std::atomic<int> ran{0};
     std::mutex m;
     std::condition_variable cv;
+    sched::pool p(4);  // after the primitives, so it joins before they die
     const int extra = 16;
 
     p.post(0, [&] {
@@ -288,8 +154,8 @@ TEST(sched_pool, idle_workers_steal_from_a_busy_one) {
     EXPECT_EQ(s.executed(), static_cast<u64>(extra + 1));
     // Every light task sits on the blocked worker's own deque, so all of
     // them must leave by theft; the blocker itself may additionally have
-    // been stolen out of worker 0's inject ring before its home picked it
-    // up, which is one more steal at most.
+    // been stolen off worker 0's deque before its home picked it up, which
+    // is one more steal at most.
     EXPECT_GE(s.steals(), static_cast<u64>(extra))
         << "every light task had to be stolen off the blocked worker";
     EXPECT_LE(s.steals(), static_cast<u64>(extra + 1));
@@ -311,9 +177,10 @@ TEST(sched_pool, destructor_drains_posted_tasks) {
 }
 
 TEST(sched_pool, external_multi_producer_hammer_runs_every_task_once) {
-    // 8 external producer threads x 10k posts into a 4-worker lock-free
-    // pool: every post goes through the MPMC inject rings (no producer is a
-    // worker), and every task must run exactly once.
+    // 8 external producer threads x 10k posts into a 4-worker pool: no
+    // producer is a worker, so every post races the owners' pops and the
+    // thieves' steals on the home deques, and every task must run exactly
+    // once.
     const std::size_t producers = 8, per_producer = 10'000;
     const std::size_t total = producers * per_producer;
     std::vector<std::atomic<u32>> ran(total);
@@ -321,7 +188,7 @@ TEST(sched_pool, external_multi_producer_hammer_runs_every_task_once) {
     std::atomic<std::size_t> done{0};
     std::mutex m;
     std::condition_variable cv;
-    sched::pool p(4, sched::queue_backend::lockfree);
+    sched::pool p(4);
 
     std::vector<std::thread> threads;
     for (std::size_t pr = 0; pr < producers; ++pr) {
@@ -347,114 +214,7 @@ TEST(sched_pool, external_multi_producer_hammer_runs_every_task_once) {
     for (std::size_t id = 0; id < total; ++id) {
         ASSERT_EQ(ran[id].load(), 1u) << "task " << id;
     }
-    const sched::pool_stats s = p.stats();
-    EXPECT_EQ(s.executed(), total);
-    EXPECT_EQ(s.posts_via_ring() + s.ring_full_posts(), total)
-        << "external posts must all enter via the rings (or their overflow)";
-}
-
-TEST(sched_pool, ring_full_backpressure_overflows_instead_of_dropping) {
-    // One worker, blocked inside its first task: the inject ring must fill
-    // to capacity, further posts take the overflow path (counted, never
-    // dropped), and releasing the worker drains everything.
-    sched::pool p(1, sched::queue_backend::lockfree);
-    std::mutex m;
-    std::condition_variable cv;
-    bool release = false;
-    std::atomic<std::size_t> ran{0};
-
-    p.post(0, [&] {
-        std::unique_lock<std::mutex> lock(m);
-        cv.wait(lock, [&] { return release; });
-    });
-    // Give the worker a moment to pick up the blocker so the posts below
-    // cannot be consumed concurrently.
-    for (int spin = 0; spin < 1000 && p.stats().executed() == 0; ++spin) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    ASSERT_EQ(p.stats().executed(), 1u) << "blocker must be the running task";
-
-    const std::size_t total = sched::pool::kInjectRingCapacity + 256;
-    for (std::size_t i = 0; i < total; ++i) {
-        p.post(0, [&] { ran.fetch_add(1); });
-    }
-    {
-        const sched::pool_stats s = p.stats();
-        EXPECT_GT(s.ring_full_posts(), 0u)
-            << "posting past the ring capacity with no consumer must overflow";
-        // +1: the blocker itself was an external post through the ring.
-        EXPECT_EQ(s.posts_via_ring() + s.ring_full_posts(), total + 1);
-    }
-    {
-        std::lock_guard<std::mutex> lock(m);
-        release = true;
-    }
-    cv.notify_all();
-    sched::pool_stats s = p.stats();
-    for (int spin = 0; spin < 10'000 && ran.load() < total; ++spin) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    EXPECT_EQ(ran.load(), total) << "overflowed tasks must all still run";
-    s = p.stats();
-    EXPECT_EQ(s.executed(), total + 1);
-}
-
-TEST(sched_pool, guaranteed_steal_construction_holds_under_both_backends) {
-    // The Chase-Lev owner-vs-thief interleave at pool level: a blocker task
-    // posts the whole light batch to its *own* worker from inside that worker
-    // (the owner push-bottom path under lockfree), then blocks — so the batch
-    // only completes if the thieves' steal path (deque top + ring + overflow)
-    // works under both queue backends, and every light task is a steal.
-    for (const auto backend :
-         {sched::queue_backend::mutex, sched::queue_backend::lockfree}) {
-        sched::pool p(4, backend);
-        std::atomic<int> ran{0};
-        std::mutex m;
-        std::condition_variable cv;
-        const int extra = 48;
-        p.post(0, [&] {
-            const std::optional<std::size_t> self = p.this_worker_index();
-            ASSERT_TRUE(self.has_value());
-            for (int i = 0; i < extra; ++i) {
-                p.post(*self, [&] {
-                    if (++ran == extra) {
-                        std::lock_guard<std::mutex> lock(m);
-                        cv.notify_all();
-                    }
-                });
-            }
-            std::unique_lock<std::mutex> lock(m);
-            cv.wait(lock, [&] { return ran.load() == extra; });
-        });
-        {
-            std::unique_lock<std::mutex> lock(m);
-            ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(30),
-                                    [&] { return ran.load() == extra; }))
-                << "backend " << sched::backend_name(backend);
-        }
-        sched::pool_stats s = p.stats();
-        for (int spin = 0; spin < 1000 && s.executed() < extra + 1; ++spin) {
-            std::this_thread::sleep_for(std::chrono::milliseconds(1));
-            s = p.stats();
-        }
-        EXPECT_EQ(s.executed(), static_cast<u64>(extra + 1))
-            << sched::backend_name(backend);
-        // All `extra` lights live on the blocked worker's own deque and can
-        // only leave by theft; the blocker itself may have been stolen once
-        // on its way in (ring or mutex deque), hence the +1 ceiling.
-        EXPECT_GE(s.steals(), static_cast<u64>(extra))
-            << "backend " << sched::backend_name(backend)
-            << ": every light task had to be stolen off the blocked worker";
-        EXPECT_LE(s.steals(), static_cast<u64>(extra + 1))
-            << sched::backend_name(backend);
-        if (backend == sched::queue_backend::lockfree) {
-            EXPECT_EQ(s.posts_via_ring() + s.ring_full_posts(), 1u)
-                << "only the blocker itself entered through the inject ring";
-        } else {
-            EXPECT_EQ(s.posts_via_ring(), 0u)
-                << "mutex backend never touches the inject rings";
-        }
-    }
+    EXPECT_EQ(p.stats().executed(), total);
 }
 
 // ----------------------------------------------------------------- executor ---
@@ -487,38 +247,6 @@ TEST(sched_executor, skewed_batch_is_bit_identical_at_any_thread_count) {
     const auto c = four.run_indexed(kSkewJobs, 42, skewed_body);  // no hints
     EXPECT_EQ(a, b) << "thread count must never leak into results";
     EXPECT_EQ(a, c) << "hints must never leak into results";
-}
-
-TEST(sched_executor, results_are_bit_identical_across_queue_backends) {
-    // The queue backend shapes wall-clock only, never results: a skewed batch
-    // must come back byte-for-byte the same under MEEK_SCHED=mutex and
-    // MEEK_SCHED=lockfree, at one thread and at four. The executor resolves
-    // the backend from the environment at construction, so flip the variable
-    // around each pair of runs (restoring whatever the harness had set, so
-    // `MEEK_SCHED=mutex ctest` stays coherent for the other tests).
-    const char* prev = std::getenv("MEEK_SCHED");
-    const std::string saved = prev ? prev : "";
-
-    std::vector<std::vector<u64>> runs;
-    for (const char* backend : {"mutex", "lockfree"}) {
-        ::setenv("MEEK_SCHED", backend, 1);
-        sim::executor one(1);
-        sim::executor four(4);
-        EXPECT_EQ(sched::backend_name(one.scheduler_backend()), std::string(backend));
-        const auto hints = skewed_hints();
-        runs.push_back(one.run_indexed(kSkewJobs, 42, skewed_body, hints));
-        runs.push_back(four.run_indexed(kSkewJobs, 42, skewed_body, hints));
-    }
-    if (prev) {
-        ::setenv("MEEK_SCHED", saved.c_str(), 1);
-    } else {
-        ::unsetenv("MEEK_SCHED");
-    }
-
-    ASSERT_EQ(runs.size(), 4u);
-    EXPECT_EQ(runs[0], runs[1]) << "mutex: thread count leaked into results";
-    EXPECT_EQ(runs[2], runs[3]) << "lockfree: thread count leaked into results";
-    EXPECT_EQ(runs[0], runs[2]) << "queue backend leaked into results";
 }
 
 TEST(sched_executor, steals_are_nonzero_on_a_skewed_cost_batch) {

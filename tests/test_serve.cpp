@@ -798,6 +798,31 @@ TEST(serve_service, error_rows_keep_their_slot_and_good_requests_still_run) {
     EXPECT_EQ(stats.jobs, 2u);
 }
 
+TEST(serve_service, cores_beyond_the_destination_mask_are_an_in_slot_error) {
+    // A status multicast addresses each little core by one dest_mask_t bit,
+    // so the protocol refuses more cores than the mask is wide: "cores":17
+    // settles as an error row in its slot and the rest of the batch runs.
+    const std::vector<std::string> lines = {
+        R"({"scenario":"meek","cores":17,"workload":"hmmer","instructions":6000})",
+        R"({"scenario":"vanilla","workload":"hmmer","instructions":6000})",
+    };
+    serve::service svc({.threads = 2});
+    const std::vector<serve::response_row> rows = svc.evaluate(lines);
+    ASSERT_EQ(rows.size(), 2u);
+    EXPECT_EQ(rows[0].request_index, 0u);
+    EXPECT_EQ(rows[0].error, "cores out of range (1..16)");
+    EXPECT_TRUE(rows[1].error.empty());
+
+    // The full mask width still resolves.
+    serve::run_request widest;
+    widest.scenario = "meek";
+    widest.cores = 16;
+    widest.workload = "hmmer";
+    sim::run_spec spec;
+    EXPECT_EQ(serve::resolve_request(widest, 0, &spec), "");
+    EXPECT_EQ(spec.sc.name, "meek/f2/opt/16");
+}
+
 TEST(serve_service, repeats_fan_out_into_derived_seeds_in_order) {
     const std::vector<std::string> lines = {
         R"({"scenario":"vanilla","workload":"hmmer","instructions":6000,"seed":11,"repeats":3})",

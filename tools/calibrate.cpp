@@ -1,4 +1,5 @@
 #include <cstdio>
+#include <vector>
 #include "report/runner.h"
 #include "fault/campaign.h"
 #include "area/area_model.h"
@@ -16,12 +17,15 @@ int main() {
         areas.little_core_area({.tuning=little_core_tuning::default_rocket}),
         areas.little_core_area({.tuning=little_core_tuning::optimized}));
 
+    sim::executor ex;
     figure6_options opts; opts.instructions = 120000;
+    std::vector<workload_profile> profiles;
     for (const char* name : {"hmmer","mcf","libquantum","blackscholes","swaptions","dedup","streamcluster"}) {
-        const auto* p = find_profile(name);
-        auto row = measure_workload(*p, opts);
+        profiles.push_back(*find_profile(name));
+    }
+    for (const slowdown_row& row : measure_suite(profiles, opts, ex)) {
         std::printf("%-14s meek %.3f lockstep %.3f nzdc %.3f | stalls col %llu fwd %llu chk %llu / base %llu\n",
-            name, row.meek, row.lockstep, row.nzdc,
+            row.workload.c_str(), row.meek, row.lockstep, row.nzdc,
             (unsigned long long)row.meek_stats.stall_collecting,
             (unsigned long long)row.meek_stats.stall_forwarding,
             (unsigned long long)row.meek_stats.stall_checker,
@@ -46,7 +50,6 @@ int main() {
     }
     // detection latency quick (sharded through the executor)
     {
-        sim::executor ex;
         fault_campaign_config fc; fc.num_faults = 60; fc.gap_instructions = 6000;
         const auto wl = generate_workload(*find_profile("blackscholes"), 500000, 7);
         auto res = run_fault_campaign(sim::meek_scenario(4).soc(), wl.prog, fc, ex);

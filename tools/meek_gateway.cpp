@@ -52,9 +52,6 @@
 //   --admission            enable admission control with default limits
 //   --max-queue-lines N    shed lines past N queued in the current batch
 //   --max-queue-bytes N    shed lines past N bytes buffered
-//   --max-inflight N       accepted for symmetry with meek_serve (the
-//                          gateway runs no simulation jobs, so this cap
-//                          never triggers here)
 //   --line-rate N          token-bucket cap on admitted lines per second
 //   --retry-after-ms N     retry_after_ms base for shed rows (default 100)
 //   --batch-max-lines N    hard cap on buffered lines per batch
@@ -88,8 +85,7 @@ int usage(const char* argv0) {
                  "          [--requests FILE] [--framed] [--stats-json PATH]\n"
                  "          [--trace-json PATH] [--trace-clock wall|virtual] "
                  "[--slo SPEC] [--quiet]\n"
-                 "          [--stream] [--admission] [--max-inflight N] "
-                 "[--max-queue-lines N]\n"
+                 "          [--stream] [--admission] [--max-queue-lines N]\n"
                  "          [--max-queue-bytes N] [--line-rate N] "
                  "[--retry-after-ms N]\n"
                  "          [--batch-max-lines N] [--batch-max-bytes N]\n",
@@ -167,10 +163,6 @@ int main(int argc, char** argv) {
         } else if (arg == "--stream") {
             opts.streaming = true;
         } else if (arg == "--admission") {
-            opts.admission.enabled = true;
-        } else if (arg == "--max-inflight") {
-            opts.admission.max_inflight_jobs =
-                std::strtoull(next_value("--max-inflight"), nullptr, 10);
             opts.admission.enabled = true;
         } else if (arg == "--max-queue-lines") {
             opts.admission.max_queue_lines =

@@ -322,8 +322,7 @@ int main(int argc, char** argv) {
                      "# outcomes: hits=%llu misses=%llu evictions=%llu hit_rate=%.1f%%\n"
                      "# job wall-time ms: min=%.2f mean=%.2f max=%.2f total=%.2f\n"
                      "# sched: executed=%llu steals=%llu steal_attempts=%llu "
-                     "steal_success=%.1f%% ring_posts=%llu ring_full=%llu "
-                     "busy_ms=%.2f backend=%s\n",
+                     "steal_success=%.1f%% busy_ms=%.2f\n",
                      static_cast<unsigned long long>(stats.requests),
                      static_cast<unsigned long long>(stats.rows),
                      static_cast<unsigned long long>(stats.errors),
@@ -343,11 +342,7 @@ int main(int argc, char** argv) {
                      t.total_ms, static_cast<unsigned long long>(ps.executed()),
                      static_cast<unsigned long long>(ps.steals()),
                      static_cast<unsigned long long>(ps.steal_attempts()),
-                     100.0 * ps.steal_success_rate(),
-                     static_cast<unsigned long long>(ps.posts_via_ring()),
-                     static_cast<unsigned long long>(ps.ring_full_posts()),
-                     ps.busy_ms(),
-                     sched::backend_name(svc.pool().scheduler_backend()));
+                     100.0 * ps.steal_success_rate(), ps.busy_ms());
         if (svc.admission().enabled()) {
             const serve::admission_stats adm = svc.admission().stats();
             std::fprintf(stderr,

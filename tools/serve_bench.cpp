@@ -460,7 +460,7 @@ int main(int argc, char** argv) {
     std::printf("  job wall-time ms: min %.2f mean %.2f max %.2f total %.2f\n",
                 t.min_ms, t.mean_ms, t.max_ms, t.total_ms);
     // The same '# sched:' stderr line fig6/fig7 emit, so serve-path steal
-    // and inject-ring behaviour is visible in CI logs batch by batch.
+    // behaviour is visible in CI logs batch by batch.
     bench::print_scheduler_summary(svc.pool());
     if (const int trace_rc = export_trace_json(trace_json_path); trace_rc != 0) {
         return trace_rc;
