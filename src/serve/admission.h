@@ -4,9 +4,9 @@
 //
 // Three pressure signals, each optional (0 = unlimited):
 //   * in-flight jobs   — simulations submitted to the executor and not yet
-//                        completed (the streaming path's saturation signal);
-//   * queued lines     — request lines admitted and not yet retired
-//                        (buffered ahead of evaluation);
+//                        completed (the executor's saturation signal);
+//   * queued lines     — request lines admitted and not yet retired (a
+//                        line is retired when its batch ends);
 //   * queued bytes     — the same backlog, in request bytes;
 // plus an optional token-bucket line rate (lines/second with a burst cap) for
 // front-ends that want a hard ceiling on arrival rate regardless of backlog.

@@ -156,8 +156,8 @@ struct response_row {
     // The service deliberately never sets it — response bytes stay identical
     // with tracing on — but the field round-trips for clients that do.
     u64 trace_id = 0;
-    // In-process only, never serialized: the line's trace so serve_batch can
-    // record serialization spans after evaluate() has closed the root.
+    // In-process only, never serialized: the line's trace, so serve_batch
+    // can record the row's serialization span in the same trace.
     obs::trace_context trace;
     sim::run_outcome outcome;
     // Pre-serialized row (stats rows): when nonempty, to_json() emits it

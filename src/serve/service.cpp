@@ -29,9 +29,8 @@ struct line_trace {
     u64 root_begin = 0;
 };
 
-// One request line, parsed/resolved/admitted into response slots — the unit
-// shared by the buffered and streaming paths so their rows are built by the
-// same code and stay byte-identical.
+// One request line, parsed/resolved/admitted into response slots: what the
+// batch engine appends to its reorder window per line read.
 struct parsed_line {
     struct item {
         response_row row;            // id/error/seed prefilled
@@ -46,9 +45,9 @@ struct parsed_line {
 };
 
 // Parse one line into its response slots: stats probe, parse error, shed
-// "overloaded" row, or one slot per repeat with a resolved spec. Identical
-// work and identical per-timeline tracer ticks on both serve paths — that is
-// the streaming byte/trace determinism contract in one place.
+// "overloaded" row, or one slot per repeat with a resolved spec. Its tracer
+// ticks land on the line's own timeline, so virtual-clock traces do not
+// depend on when the engine gets to the line.
 parsed_line parse_one_line(std::string_view raw_line, std::size_t index,
                            u64 batch_seq, bool tracing, bool wall_clock,
                            obs::tracer& tracer,
@@ -181,16 +180,20 @@ service::service(const service_options& opts)
       admission_(opts.admission),
       pool_(opts.threads) {}
 
-std::vector<response_row> service::evaluate(const std::vector<std::string>& lines,
-                                            batch_stats* stats) {
+u64 service::run_batch(const line_source& next,
+                       const std::function<void(response_row&&)>& emit,
+                       const std::function<void()>& flush_run, batch_stats* stats) {
     // Stage histograms, resolved once per batch: recording is relaxed-atomic.
     obs::atomic_log_histogram& parse_ns = metrics_.get_histogram("service.parse_ns");
     obs::atomic_log_histogram& resolve_ns =
         metrics_.get_histogram("service.resolve_ns");
-    obs::atomic_log_histogram& execute_ns =
-        metrics_.get_histogram("service.execute_ns");
     obs::atomic_log_histogram& request_ns =
         metrics_.get_histogram("service.request_ns");
+    // Simulated-work totals, recorded per completed job from the worker-side
+    // hook (relaxed atomic adds — order-free, so deterministic sums; cache
+    // hits count too, a served result represents that much simulated work).
+    obs::counter& sim_instructions = metrics_.get_counter("sim.instructions");
+    obs::counter& sim_big_cycles = metrics_.get_counter("sim.big_cycles");
 
     // Tracing, resolved once per batch. Each line gets a trace: adopted from
     // the wire's "trace" field when present, minted from (batch, line)
@@ -201,380 +204,118 @@ std::vector<response_row> service::evaluate(const std::vector<std::string>& line
     obs::tracer& tracer = obs::tracer::instance();
     const bool tracing = tracer.enabled();
     const bool wall_clock = tracer.clock_mode() == obs::trace_clock_mode::wall;
-    const u64 batch_seq = tracing ? batch_seq_++ : batch_seq_;
-
-    std::vector<line_trace> line_traces(tracing ? lines.size() : 0);
-    std::vector<clock::time_point> line_started(lines.size());
-    std::vector<obs::trace_context> job_traces;  // parallel to `specs`
-
-    // Phase 1: parse, resolve, and admit every line on the session thread;
-    // collect the dispatchable specs in (request, repeat) order.
-    struct slot {
-        response_row row;            // id/error prefilled; outcome filled later
-        std::size_t spec_index = 0;  // into `specs` when dispatchable
-        bool has_spec = false;
-        bool stats_row = false;      // filled from the snapshot after merging
-    };
-    std::vector<slot> slots;
-    std::vector<sim::run_spec> specs;
-    std::vector<u64> admitted_bytes;  // queue accounting to retire after merge
-    bool any_stats_row = false;
-    u64 shed = 0;
-    line_trace scratch_trace;
-
-    for (std::size_t i = 0; i < lines.size(); ++i) {
-        line_started[i] = clock::now();
-        line_trace& lt = tracing ? line_traces[i] : scratch_trace;
-        parsed_line pl =
-            parse_one_line(lines[i], i, batch_seq, tracing, wall_clock, tracer,
-                           parse_ns, resolve_ns, &cache_, admission_, &lt);
-        if (pl.admitted) admitted_bytes.push_back(lines[i].size());
-        if (pl.shed) ++shed;
-        for (parsed_line::item& it : pl.items) {
-            slot s;
-            s.row = std::move(it.row);
-            s.stats_row = it.stats_row;
-            if (it.stats_row) any_stats_row = true;
-            if (it.has_spec) {
-                s.has_spec = true;
-                s.spec_index = specs.size() + it.spec;
-            }
-            slots.push_back(std::move(s));
-        }
-        for (sim::run_spec& spec : pl.specs) {
-            specs.push_back(std::move(spec));
-            if (tracing) job_traces.push_back(lt.root);
-        }
-    }
-
-    // Phase 2: fan the jobs out — longest spec first, through the completed-
-    // result cache so a repeated identical evaluation is free; results return
-    // in spec order. One execute-stage sample per batch: the end-to-end fan-
-    // out wall time (per-job queue-wait/run splits live in the pool
-    // histograms and, when tracing, in per-job queue_wait/run spans).
-    const auto execute_start = clock::now();
-    admission_.jobs_started(specs.size());
-    const std::vector<sim::run_outcome> outcomes = pool_.map(
-        specs, /*base_seed=*/0,
-        [this](const sim::run_spec& spec, const sim::job_context&) {
-            return outcomes_.outcome_for(spec);
-        },
-        [](const sim::run_spec& spec) { return sim::cost_hint(spec); }, job_traces);
-    admission_.jobs_finished(specs.size());
-    if (!specs.empty()) execute_ns.record(elapsed_ns(execute_start, clock::now()));
-
-    // Phase 3: merge outcomes back into their slots. Simulated-work totals
-    // are summed over the outcomes (cache hits included: a served result
-    // represents that much simulated work regardless of where it came from),
-    // so they are deterministic at any thread count.
-    u64 sim_instructions = 0;
-    u64 sim_big_cycles = 0;
-    for (const sim::run_outcome& o : outcomes) {
-        sim_instructions += o.instructions;
-        sim_big_cycles += o.cycles;
-    }
-    std::vector<response_row> rows;
-    rows.reserve(slots.size());
-    u64 errors = 0;
-    for (slot& s : slots) {
-        if (s.has_spec) s.row.outcome = outcomes[s.spec_index];
-        if (!s.row.error.empty()) ++errors;
-        rows.push_back(std::move(s.row));
-    }
-    for (const u64 bytes : admitted_bytes) admission_.retire_line(bytes);
-
-    // Per-line bookkeeping now that every row is settled: the end-to-end
-    // request latency (what an SLO on this service is evaluated against —
-    // recorded tracing or not), and the root span close.
-    const auto batch_end = clock::now();
-    for (std::size_t i = 0; i < lines.size(); ++i) {
-        request_ns.record(elapsed_ns(line_started[i], batch_end));
-        if (tracing) close_root_span(tracer, line_traces[i]);
-    }
-
-    if (stats) {
-        stats->requests += lines.size();
-        stats->rows += rows.size();
-        stats->jobs += specs.size();
-        stats->errors += errors;
-        stats->shed += shed;
-    }
-    metrics_.get_counter("service.requests").add(lines.size());
-    metrics_.get_counter("service.rows").add(rows.size());
-    metrics_.get_counter("service.jobs").add(specs.size());
-    metrics_.get_counter("service.errors").add(errors);
-    metrics_.get_counter("sim.instructions").add(sim_instructions);
-    metrics_.get_counter("sim.big_cycles").add(sim_big_cycles);
-
-    // Stats rows last: the snapshot includes this batch's own counters and
-    // spans (minus serialization, which has not happened yet), and is built
-    // once however many stats lines the batch carried.
-    if (any_stats_row) {
-        const std::string snapshot_json = obs::stats_json(stats_snapshot());
-        for (std::size_t k = 0; k < rows.size(); ++k) {
-            if (!slots[k].stats_row) continue;
-            json_object_writer w;
-            w.field("request", rows[k].request_index);
-            w.field("repeat", u64{0});
-            if (!rows[k].id.empty()) w.field("id", rows[k].id);
-            w.field_raw("stats", snapshot_json);
-            rows[k].raw = w.str();
-        }
-    }
-    return rows;
-}
-
-bool service::serve_batch(std::istream& in, std::ostream& out, batch_stats* stats,
-                          bool framed) {
-    if (opts_.streaming) return serve_batch_streaming(in, out, stats, framed);
-
-    const batch_read batch = read_batch(in, opts_.limits);
-    if (batch.stream_error) {
-        metrics_.get_counter("service.stream_errors").add(1);
-        if (stats) stats->stream_errors += 1;
-        MEEK_LOG(warn, "serve: input stream died (I/O error, not EOF) after %zu lines",
-                 batch.lines.size());
-    }
-    if (batch.empty()) return false;
-
-    std::vector<response_row> rows = evaluate(batch.lines, stats);
-
-    // The buffering-cap overflow tail: those lines hold request indices past
-    // the evaluated ones but their content was discarded at read time — each
-    // settles with an in-slot overloaded row, consistent with admission
-    // shedding, so no accepted line is ever silently dropped.
-    if (batch.overflow_lines > 0) {
-        const u64 retry = admission_.options().retry_after_ms;
-        for (u64 k = 0; k < batch.overflow_lines; ++k) {
-            rows.push_back(overloaded_row(batch.lines.size() + k, retry));
-        }
-        admission_.note_batch_overflow(batch.overflow_lines);
-        if (stats) {
-            stats->requests += batch.overflow_lines;
-            stats->rows += batch.overflow_lines;
-            stats->errors += batch.overflow_lines;
-            stats->shed += batch.overflow_lines;
-        }
-        metrics_.get_counter("service.requests").add(batch.overflow_lines);
-        metrics_.get_counter("service.rows").add(batch.overflow_lines);
-        metrics_.get_counter("service.errors").add(batch.overflow_lines);
-    }
-
-    obs::atomic_log_histogram& serialize_ns =
-        metrics_.get_histogram("service.serialize_ns");
-    bool aborted = false;
-    for (const response_row& row : rows) {
-        const auto start = clock::now();
-        // The root "request" span closed inside evaluate(), so serialization
-        // records as a second top-level span of the same trace (row.trace
-        // carries {trace id, parent 0}; zero when tracing is off).
-        obs::trace_span span(row.trace, "serialize", row.repeat);
-        const std::string json = to_json(row);
-        span.close();
-        serialize_ns.record(elapsed_ns(start, clock::now()));
-        out << json << '\n';
-        if (!out) {  // client hung up mid-response (SIGPIPE ignored => badbit)
-            aborted = true;
-            break;
-        }
-    }
-    if (!aborted && framed) out << '\n';  // end-of-batch marker
-    out.flush();
-    if (!out) aborted = true;
-    if (aborted) {
-        metrics_.get_counter("service.client_aborts").add(1);
-        if (stats) stats->client_aborts += 1;
-        MEEK_LOG(warn, "serve: client aborted mid-response, dropping connection");
-    }
-    slo_feedback_tick();
-    return !aborted && !batch.stream_error;
-}
-
-bool service::serve_batch_streaming(std::istream& in, std::ostream& out,
-                                    batch_stats* stats, bool framed) {
-    obs::atomic_log_histogram& parse_ns = metrics_.get_histogram("service.parse_ns");
-    obs::atomic_log_histogram& resolve_ns =
-        metrics_.get_histogram("service.resolve_ns");
-    obs::atomic_log_histogram& request_ns =
-        metrics_.get_histogram("service.request_ns");
-    obs::atomic_log_histogram& serialize_ns =
-        metrics_.get_histogram("service.serialize_ns");
-    // Simulated-work totals, recorded per completed job from the worker-side
-    // hook (relaxed atomic adds — order-free, so deterministic sums).
-    obs::counter& sim_instructions = metrics_.get_counter("sim.instructions");
-    obs::counter& sim_big_cycles = metrics_.get_counter("sim.big_cycles");
-
-    obs::tracer& tracer = obs::tracer::instance();
-    const bool tracing = tracer.enabled();
-    const bool wall_clock = tracer.clock_mode() == obs::trace_clock_mode::wall;
-    const u64 batch_seq = tracing ? batch_seq_++ : batch_seq_;
+    const u64 batch_seq = tracing ? batch_seq_.fetch_add(1) : 0;
 
     // The reorder window: rows in global (request, repeat) order; row k is
-    // written once rows 0..k-1 are out and k is ready, so the byte stream is
-    // exactly the buffered path's at any thread count — completion order
-    // only decides *when* the prefix advances. A deque keeps element
+    // emitted once rows 0..k-1 are out and k is ready. A deque keeps element
     // references stable while the session thread appends.
     struct pending {
         response_row row;
         bool ready = false;
-        bool stats_row = false;
+        bool stats_row = false;  // settled from the snapshot at end of batch
         // Set on a line's last row: settle-time bookkeeping.
         bool line_last = false;
-        bool line_admitted = false;
-        u64 line_bytes = 0;
         clock::time_point line_started{};
         line_trace lt;  // root span, closed at settle (tracing only)
     };
-    struct stream_state {
+    struct window {
         std::mutex m;
         std::condition_variable cv;
         std::deque<pending> rows;
         std::size_t next_emit = 0;
-        bool aborted = false;
-    } st;
+        u64 outstanding = 0;  // submitted jobs whose hook has not run
+        u64 errors = 0;       // settled error rows
+        bool open = false;    // rows may reach `emit`
+    } w;
+    w.open = static_cast<bool>(flush_run);
 
-    // Emit every ready row at the front of the window. Called with st.m held,
-    // from the session thread (new ready-at-parse rows) and from pool workers
-    // (completion hooks) — the mutex is the only writer gate on `out`.
-    auto drain = [&](stream_state& state) {
-        bool wrote = false;
-        while (state.next_emit < state.rows.size() &&
-               state.rows[state.next_emit].ready) {
-            pending& p = state.rows[state.next_emit];
-            if (p.stats_row && p.row.raw.empty()) {
-                // Built lazily at emission: the snapshot sees every batch
-                // counter and row settled before this probe's slot.
-                json_object_writer w;
-                w.field("request", p.row.request_index);
-                w.field("repeat", u64{0});
-                if (!p.row.id.empty()) w.field("id", p.row.id);
-                w.field_raw("stats", obs::stats_json(stats_snapshot()));
-                p.row.raw = w.str();
-            }
-            const auto start = clock::now();
-            obs::trace_span span(p.row.trace, "serialize", p.row.repeat);
-            const std::string json = to_json(p.row);
-            span.close();
-            serialize_ns.record(elapsed_ns(start, clock::now()));
-            if (!state.aborted) {
-                out << json << '\n';
-                if (!out) {
-                    state.aborted = true;
-                    metrics_.get_counter("service.client_aborts").add(1);
-                    MEEK_LOG(warn,
-                             "serve: client aborted mid-response (streaming), "
-                             "dropping connection");
-                } else {
-                    wrote = true;
-                }
-            }
+    // Emit every ready row at the front of the window. Called with w.m held,
+    // from the session thread and from pool workers (completion hooks).
+    auto drain = [&] {
+        bool emitted = false;
+        while (w.open && w.next_emit < w.rows.size() && w.rows[w.next_emit].ready) {
+            pending& p = w.rows[w.next_emit++];
+            emit(std::move(p.row));
+            emitted = true;
             if (p.line_last) {
                 request_ns.record(elapsed_ns(p.line_started, clock::now()));
-                if (p.line_admitted) admission_.retire_line(p.line_bytes);
                 if (tracing) close_root_span(tracer, p.lt);
             }
-            ++state.next_emit;
         }
-        // Flush per drained run of completed requests — the streaming
-        // latency win; a blocked client is caught here as an abort too.
-        if (wrote) {
-            out.flush();
-            if (!out && !state.aborted) {
-                state.aborted = true;
-                metrics_.get_counter("service.client_aborts").add(1);
-            }
-        }
+        if (emitted && flush_run) flush_run();
     };
 
-    // The session thread's input loop: read, parse, dispatch, line by line.
-    std::string raw;
-    bool saw_any = false;
-    u64 line_index = 0;
-    u64 buffered_bytes = 0;
-    u64 jobs = 0;
-    u64 shed = 0;
-    u64 overflow = 0;
-    line_trace scratch_trace;
-    while (std::getline(in, raw)) {
-        const std::string_view line = strip_cr(raw);
-        if (is_blank_line(line)) {
-            if (saw_any) break;  // end-of-batch marker
-            continue;            // leading blank lines separate batches
-        }
-        saw_any = true;
-        const std::size_t i = line_index++;
-
-        // The same per-batch buffering caps read_batch enforces: past either
-        // cap the line's content is dropped and its slot settles immediately
-        // with an overloaded row (0 = unlimited).
-        const bool over_lines = opts_.limits.max_lines != 0 && i >= opts_.limits.max_lines;
-        const bool over_bytes = opts_.limits.max_bytes != 0 &&
-                                buffered_bytes + line.size() > opts_.limits.max_bytes;
-        if (over_lines || over_bytes) {
+    // The session thread's loop: read, parse, dispatch, line by line.
+    std::vector<u64> admitted_bytes;  // queue accounting, retired at batch end
+    u64 lines = 0, jobs = 0, shed = 0, overflow = 0;
+    bool any_stats_row = false;
+    std::string_view line;
+    for (slot_kind kind; (kind = next(&line)) != slot_kind::end;) {
+        const u64 i = lines++;
+        if (kind == slot_kind::overflow) {
             ++overflow;
-            std::lock_guard lock(st.m);
             pending p;
             p.row = overloaded_row(i, admission_.options().retry_after_ms);
             p.ready = true;
-            st.rows.push_back(std::move(p));
-            drain(st);
+            std::lock_guard lock(w.m);
+            ++w.errors;
+            w.rows.push_back(std::move(p));
+            drain();
             continue;
         }
-        buffered_bytes += line.size();
 
         const auto line_started = clock::now();
-        line_trace& lt = scratch_trace;
-        lt = line_trace{};
-        parsed_line pl =
-            parse_one_line(line, i, batch_seq, tracing, wall_clock, tracer,
-                           parse_ns, resolve_ns, &cache_, admission_, &lt);
+        line_trace lt;
+        parsed_line pl = parse_one_line(line, i, batch_seq, tracing, wall_clock, tracer,
+                                        parse_ns, resolve_ns, &cache_, admission_, &lt);
+        if (pl.admitted) admitted_bytes.push_back(line.size());
         if (pl.shed) ++shed;
         jobs += pl.specs.size();
 
-        // Append this line's slots to the window and submit its jobs. The
-        // completion hook fills the slot and advances the prefix; ready-at-
-        // parse slots (errors, shed, stats) can emit right now.
+        // Append this line's slots to the window; ready-at-parse slots
+        // (errors, shed) can emit right away, stats probes wait for the end.
         std::size_t first_row;
         {
-            std::lock_guard lock(st.m);
-            first_row = st.rows.size();
+            std::lock_guard lock(w.m);
+            first_row = w.rows.size();
             for (std::size_t k = 0; k < pl.items.size(); ++k) {
                 parsed_line::item& it = pl.items[k];
                 pending p;
                 p.row = std::move(it.row);
                 p.stats_row = it.stats_row;
-                p.ready = !it.has_spec;
+                p.ready = !it.has_spec && !it.stats_row;
+                if (p.ready && !p.row.error.empty()) ++w.errors;
+                any_stats_row = any_stats_row || it.stats_row;
                 if (k + 1 == pl.items.size()) {
                     p.line_last = true;
-                    p.line_admitted = pl.admitted;
-                    p.line_bytes = line.size();
                     p.line_started = line_started;
                     p.lt = lt;
                 }
-                st.rows.push_back(std::move(p));
+                w.rows.push_back(std::move(p));
             }
-            drain(st);
+            w.outstanding += pl.specs.size();
+            drain();
         }
+        // Submit the line's jobs; each completion hook fills its slot and
+        // advances the window.
         for (std::size_t k = 0; k < pl.items.size(); ++k) {
             const parsed_line::item& it = pl.items[k];
             if (!it.has_spec) continue;
             admission_.jobs_started(1);
-            sim::run_spec spec = std::move(pl.specs[it.spec]);
             pool_.submit_indexed(
                 first_row + k, /*base_seed=*/0,
-                [this, spec = std::move(spec)](const sim::job_context&) {
+                [this, spec = std::move(pl.specs[it.spec])](const sim::job_context&) {
                     return outcomes_.outcome_for(spec);
                 },
-                [this, &st, &drain, &sim_instructions, &sim_big_cycles](
+                [this, &w, &drain, &sim_instructions, &sim_big_cycles](
                     const sim::job_context& ctx, sim::run_outcome result,
                     std::exception_ptr error) {
                     admission_.jobs_finished(1);
-                    std::lock_guard lock(st.m);
-                    pending& p = st.rows[ctx.index];
+                    std::lock_guard lock(w.m);
+                    pending& p = w.rows[ctx.index];
                     if (error) {
-                        // The buffered path rethrows to the caller; a
-                        // streaming row may already have neighbors on the
-                        // wire, so the exception settles in-slot instead.
+                        // Neighbouring rows may already be on the wire, so a
+                        // throwing job settles as an in-slot error row.
                         try {
                             std::rethrow_exception(error);
                         } catch (const std::exception& e) {
@@ -582,68 +323,152 @@ bool service::serve_batch_streaming(std::istream& in, std::ostream& out,
                         } catch (...) {
                             p.row.error = "job failed";
                         }
+                        ++w.errors;
                     } else {
                         sim_instructions.add(result.instructions);
                         sim_big_cycles.add(result.cycles);
                         p.row.outcome = std::move(result);
                     }
                     p.ready = true;
-                    drain(st);
-                    st.cv.notify_all();
+                    drain();
+                    if (--w.outstanding == 0) w.cv.notify_all();
                 },
                 tracing ? lt.root : obs::trace_context{});
         }
     }
+
+    // Input exhausted. Once every job has settled — so no hook can touch
+    // the stack captures above any more — close the batch's books: retire
+    // admitted lines, add the batch counters, and only then build the stats
+    // snapshot (once per batch) and let the rest of the window out.
+    std::unique_lock lock(w.m);
+    w.cv.wait(lock, [&] { return w.outstanding == 0; });
+    for (const u64 bytes : admitted_bytes) admission_.retire_line(bytes);
+    admission_.note_batch_overflow(overflow);
+    const u64 rows = w.rows.size();
+    if (stats) {
+        stats->requests += lines;
+        stats->rows += rows;
+        stats->jobs += jobs;
+        stats->errors += w.errors;
+        stats->shed += shed + overflow;
+    }
+    metrics_.get_counter("service.requests").add(lines);
+    metrics_.get_counter("service.rows").add(rows);
+    metrics_.get_counter("service.jobs").add(jobs);
+    metrics_.get_counter("service.errors").add(w.errors);
+
+    if (any_stats_row) {
+        const std::string snapshot_json = obs::stats_json(stats_snapshot());
+        for (std::size_t k = w.next_emit; k < w.rows.size(); ++k) {
+            pending& p = w.rows[k];
+            if (!p.stats_row) continue;
+            json_object_writer row;
+            row.field("request", p.row.request_index);
+            row.field("repeat", u64{0});
+            if (!p.row.id.empty()) row.field("id", p.row.id);
+            row.field_raw("stats", snapshot_json);
+            p.row.raw = row.str();
+            p.ready = true;
+        }
+    }
+    w.open = true;
+    drain();
+    return lines;
+}
+
+std::vector<response_row> service::evaluate(const std::vector<std::string>& lines,
+                                            batch_stats* stats) {
+    std::vector<response_row> rows;
+    std::size_t k = 0;
+    run_batch(
+        [&](std::string_view* line) {
+            if (k == lines.size()) return slot_kind::end;
+            *line = lines[k++];
+            return slot_kind::line;
+        },
+        [&rows](response_row&& row) { rows.push_back(std::move(row)); },
+        /*flush_run=*/{}, stats);
+    return rows;
+}
+
+bool service::serve_batch(std::istream& in, std::ostream& out, batch_stats* stats,
+                          bool framed) {
+    obs::atomic_log_histogram& serialize_ns =
+        metrics_.get_histogram("service.serialize_ns");
+
+    // The source: blank-line framing, CR stripping, and the per-batch
+    // buffering caps — past either cap a line's content is dropped and its
+    // slot settles as an overloaded row (0 = unlimited).
+    std::string raw;
+    bool saw_any = false;
+    u64 read = 0;
+    u64 buffered_bytes = 0;
+    const auto next = [&](std::string_view* line) {
+        while (std::getline(in, raw)) {
+            *line = strip_cr(raw);
+            if (is_blank_line(*line)) {
+                if (saw_any) return slot_kind::end;  // end-of-batch marker
+                continue;  // leading blank lines separate batches
+            }
+            saw_any = true;
+            const u64 index = read++;
+            const batch_limits& caps = opts_.limits;
+            const bool over_lines = caps.max_lines != 0 && index >= caps.max_lines;
+            const bool over_bytes =
+                caps.max_bytes != 0 && buffered_bytes + line->size() > caps.max_bytes;
+            if (over_lines || over_bytes) return slot_kind::overflow;
+            buffered_bytes += line->size();
+            return slot_kind::line;
+        }
+        return slot_kind::end;
+    };
+
+    // The sink: serialize each row (its own "serialize" span, a top-level
+    // sibling of the line's "request" span) and write it, until the client
+    // hangs up (SIGPIPE ignored => badbit on the stream).
+    bool aborted = false;
+    const auto emit = [&](response_row&& row) {
+        if (aborted) return;
+        const auto start = clock::now();
+        obs::trace_span span(row.trace, "serialize", row.repeat);
+        const std::string json = to_json(row);
+        span.close();
+        serialize_ns.record(elapsed_ns(start, clock::now()));
+        out << json << '\n';
+        aborted = !out;
+    };
+    const auto flush = [&] {
+        if (aborted) return;
+        out.flush();
+        aborted = !out;
+    };
+    const u64 lines = run_batch(next, emit,
+                                opts_.streaming ? std::function<void()>(flush) : nullptr,
+                                stats);
+
     const bool stream_error = in.bad();
     if (stream_error) {
         metrics_.get_counter("service.stream_errors").add(1);
         if (stats) stats->stream_errors += 1;
         MEEK_LOG(warn,
                  "serve: input stream died (I/O error, not EOF) after %llu lines",
-                 static_cast<unsigned long long>(line_index));
+                 static_cast<unsigned long long>(lines));
     }
-
-    // Wait for the window to drain: every row emitted (or skipped post-
-    // abort) means every outstanding job has completed, so stack captures in
-    // the hooks above cannot outlive this frame.
-    u64 total_rows, errors;
-    bool aborted;
-    {
-        std::unique_lock lock(st.m);
-        st.cv.wait(lock, [&] { return st.next_emit == st.rows.size(); });
-        total_rows = st.rows.size();
-        errors = 0;
-        for (const pending& p : st.rows) {
-            if (!p.row.error.empty()) ++errors;
-        }
-        aborted = st.aborted;
-    }
-    if (line_index == 0) {
+    if (lines == 0) {
         slo_feedback_tick();
         return false;  // input exhausted before any request line
     }
     if (!aborted) {
-        if (framed) out << '\n';
+        if (framed) out << '\n';  // end-of-batch marker
         out.flush();
-        if (!out) {
-            aborted = true;
-            metrics_.get_counter("service.client_aborts").add(1);
-        }
+        aborted = !out;
     }
-
-    if (overflow > 0) admission_.note_batch_overflow(overflow);
-    if (stats) {
-        stats->requests += line_index;
-        stats->rows += total_rows;
-        stats->jobs += jobs;
-        stats->errors += errors;
-        stats->shed += shed + overflow;
-        if (aborted) stats->client_aborts += 1;
+    if (aborted) {
+        metrics_.get_counter("service.client_aborts").add(1);
+        if (stats) stats->client_aborts += 1;
+        MEEK_LOG(warn, "serve: client aborted mid-response, dropping connection");
     }
-    metrics_.get_counter("service.requests").add(line_index);
-    metrics_.get_counter("service.rows").add(total_rows);
-    metrics_.get_counter("service.jobs").add(jobs);
-    metrics_.get_counter("service.errors").add(errors);
     slo_feedback_tick();
     return !aborted && !stream_error;
 }
@@ -681,15 +506,15 @@ obs::metrics_snapshot service::stats_snapshot() const {
     admission_.contribute_metrics(snap);
     pool_.contribute_metrics(snap);
     // Derived simulation throughput: simulated instructions per host second
-    // of fan-out wall time (the sim_throughput bench's MIPS, as a service
-    // gauge). Wall-time-derived, so — like steal counts — not part of the
+    // of job run time (the sim_throughput bench's MIPS, as a service gauge).
+    // Wall-time-derived, so — like steal counts — not part of the
     // deterministic counter set.
     if (const u64* instr = snap.counter_value("sim.instructions")) {
-        if (const obs::log_histogram* exec = snap.histogram("service.execute_ns");
-            exec != nullptr && exec->sum() > 0) {
+        if (const obs::log_histogram* run = snap.histogram("pool.run_ns");
+            run != nullptr && run->sum() > 0) {
             snap.set_gauge("sim.host_instr_per_sec",
                            static_cast<u64>(static_cast<double>(*instr) * 1e9 /
-                                            static_cast<double>(exec->sum())));
+                                            static_cast<double>(run->sum())));
         }
     }
     return snap;

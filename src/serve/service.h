@@ -6,39 +6,49 @@
 // Determinism contract: for a given batch text, the response byte stream is
 // identical at any thread count and any cache capacity — scheduling affects
 // wall-clock only. Requests that fail to parse or resolve produce error rows
-// in their slot instead of aborting the batch.
+// in their slot instead of aborting the batch; so does a job that throws.
 //
 // Batch framing on a stream: one request per line; a blank line (or EOF)
 // ends the batch, and a trailing '\r' is stripped by the framing layer so
-// CRLF clients frame identically (serve::read_batch). serve_stream()
-// loops batches until EOF, flushing after each, which is the stdin/stdout
-// daemon mode of tools/meek_serve. In *framed* mode — the socket transport's
-// wire format, and `meek_serve --framed` — each batch's rows are followed by
-// one blank line, mirroring the request framing, so a client can detect
-// end-of-batch without counting rows.
+// CRLF clients frame identically. serve_stream() loops batches until EOF,
+// flushing after each, which is the stdin/stdout daemon mode of
+// tools/meek_serve. In *framed* mode — the socket transport's wire format,
+// and `meek_serve --framed` — each batch's rows are followed by one blank
+// line, mirroring the request framing, so a client can detect end-of-batch
+// without counting rows.
 //
-// Streaming mode (service_options.streaming): serve_batch reads the batch
-// line by line, dispatches each line's jobs through the executor's
-// completion hook the moment it parses, and emits rows *while later lines
-// are still being read and executed*. Ordering is a prefix reorder window —
-// row k is written once rows 0..k-1 are out and row k is complete — so the
-// byte stream is identical to the buffered path at any thread count; only
-// first-row latency changes. The flush cadence is per drain of completed
-// rows instead of per batch.
+// One engine evaluates every batch, from evaluate() and serve_batch()
+// alike: each line is parsed, resolved and admitted the moment it is read,
+// its jobs go to the executor with a completion hook, and rows settle
+// through a prefix reorder window — row k leaves once rows 0..k-1 have and
+// row k is complete, so completion order decides only *when* the window
+// advances, never what it contains. A `{"stats":true}` probe holds the
+// window until every other row of its batch has settled and the batch's
+// counters are in, so the probe sees its whole batch.
+//
+// Emission cadence (service_options.streaming): with streaming, rows are
+// written as the window advances and `out` is flushed after each drained
+// run, so a client reads early rows while later lines are still being sent
+// and executed. Without it, rows are held until the batch has been read
+// and `out` is flushed once per batch. The bytes are identical either way.
 //
 // Overload behavior: when admission control is configured, each valid
 // request line is offered to the admission_controller at parse time; a shed
 // line settles immediately with one in-slot
 // {"error":"overloaded","retry_after_ms":N} row (never dropped, regardless
-// of its repeats). Lines past the per-batch buffering caps (batch_limits)
-// shed the same way. An SLO spec in `slo_feedback` closes the loop: the
-// request-latency burn rate tightens admission while violated and loosens
-// it on recovery.
+// of its repeats). Admitted lines are retired at the end of their batch, so
+// in-batch shedding is a function of the input alone. Lines past the
+// per-batch buffering caps (batch_limits) shed the same way. An SLO spec in
+// `slo_feedback` closes the loop: the request-latency burn rate tightens
+// admission while violated and loosens it on recovery.
 #pragma once
 
+#include <atomic>
+#include <functional>
 #include <iosfwd>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -58,7 +68,7 @@ struct service_options {
     std::size_t outcome_capacity = 256;  // completed-result cache; 0 disables
     batch_limits limits;              // per-batch line/byte buffering caps
     admission_options admission;      // line-level admission control (default off)
-    bool streaming = false;           // pipelined row emission in serve_batch
+    bool streaming = false;           // serve_batch flushes per drained run of rows
     // Nonempty clauses => after each batch the service.request_ns burn rate
     // against this spec feeds admission (tighten on violation, recover on
     // health). Independent of any tool-level --slo exit-code check.
@@ -80,7 +90,8 @@ public:
     explicit service(const service_options& opts = {});
 
     // Evaluate one batch of request lines; rows come back ordered by
-    // (request index, repeat).
+    // (request index, repeat). No framing and no batch caps apply: every
+    // element is a request slot, and a blank one gets its parse-error row.
     std::vector<response_row> evaluate(const std::vector<std::string>& lines,
                                        batch_stats* stats = nullptr);
 
@@ -107,27 +118,41 @@ public:
 
     // The session's full observability picture: the registry's counters and
     // per-stage latency histograms (service.parse_ns / resolve_ns /
-    // execute_ns / serialize_ns), overlaid with the workload/outcome cache
+    // serialize_ns / request_ns), overlaid with the workload/outcome cache
     // stats, the admission controller's counters/gauges, and the executor's
     // pool counters + queue-wait/run histograms — the existing stat structs
-    // re-plumbed into one sorted snapshot. This is what `meek_serve
-    // --stats-json` exports and what a `{"stats":true}` request line returns
-    // inline.
+    // re-plumbed into one sorted snapshot — plus the derived
+    // sim.host_instr_per_sec gauge: sim.instructions over the summed job run
+    // time (pool.run_ns). This is what `meek_serve --stats-json` exports and
+    // what a `{"stats":true}` request line returns inline.
     obs::metrics_snapshot stats_snapshot() const;
 
 private:
-    // The streaming serve_batch: line-at-a-time read/parse/dispatch with a
-    // prefix-ordered completion emitter.
-    bool serve_batch_streaming(std::istream& in, std::ostream& out,
-                               batch_stats* stats, bool framed);
+    // The next request slot of a batch: a line to evaluate, a line the batch
+    // caps dropped (it settles as an "overloaded" row), or the batch's end.
+    // A returned line stays valid until the next call.
+    enum class slot_kind { line, overflow, end };
+    using line_source = std::function<slot_kind(std::string_view* line)>;
+
+    // The one batch engine (see the header comment). `emit` receives every
+    // row in (request, repeat) order, under the engine's lock, possibly on a
+    // pool worker. With `flush_run` set rows are emitted as the window
+    // advances and `flush_run` follows each drained run; without it they
+    // are held until the input is exhausted, so a client that writes its
+    // whole batch before reading never finds the server blocked on a full
+    // socket mid-batch. Adds the batch's counters to `stats` and the
+    // registry; returns the number of request slots read.
+    u64 run_batch(const line_source& next,
+                  const std::function<void(response_row&&)>& emit,
+                  const std::function<void()>& flush_run, batch_stats* stats);
 
     // Feed the latest request-latency window's burn rate into admission.
     void slo_feedback_tick();
 
     service_options opts_;
     // Declared before the executor: jobs drained by the pool's destructor
-    // never touch the registry, but the registry must outlive evaluate()
-    // callers' recording handles anyway — first is simplest.
+    // never touch the registry, but the registry must outlive run_batch()'s
+    // recording handles anyway — first is simplest.
     obs::metrics_registry metrics_;
     workload_cache cache_;
     outcome_cache outcomes_;
@@ -139,8 +164,9 @@ private:
     sim::executor pool_;
     // Trace minting sequence: batch n, line i => mint_trace_id(n, i), so
     // trace ids are a pure function of the session's input, never of
-    // scheduling. Only advanced while tracing is enabled.
-    u64 batch_seq_ = 0;
+    // scheduling. Only advanced while tracing is enabled; atomic because
+    // concurrent connections run batches on several accept threads.
+    std::atomic<u64> batch_seq_{0};
 };
 
 }  // namespace meek::serve

@@ -125,9 +125,9 @@ public:
     // `fn(ctx)` with ctx = {index, derive_stream_seed(base_seed, index)} and
     // then invokes `done(ctx, result, error)` ON THE WORKER THREAD — error is
     // a null exception_ptr on success, and `result` is default-constructed
-    // when the body threw. This is the streaming serve path's primitive: a
-    // completed job can be emitted the moment it finishes, with no join
-    // barrier holding finished rows hostage to slower ones.
+    // when the body threw. This is the serve engine's primitive: a completed
+    // job can be emitted the moment it finishes, with no join barrier holding
+    // finished rows hostage to slower ones.
     //
     // The hook runs outside any executor lock, but on a pool worker: it must
     // be quick and must not block on work that itself needs this pool. The
@@ -135,6 +135,10 @@ public:
     // (callers typically count outstanding jobs and wait on a condition
     // variable). Seeds and indices keep the run_indexed determinism contract;
     // only completion *notification* order depends on scheduling.
+    //
+    // `trace` parents the job's "job" span (children "queue_wait"/"run"),
+    // and the body runs with that span as the thread's ambient trace, so
+    // logs and nested spans inside the job correlate. A zero context is free.
     template <class Fn, class Done>
     void submit_indexed(std::size_t index, u64 base_seed, Fn fn, Done done,
                         obs::trace_context trace = {}) {
@@ -180,16 +184,9 @@ public:
     // batch is dealt round-robin. Placement and stealing reorder *scheduling
     // only*: stream seeds and result order are functions of the job index, so
     // hinted and unhinted batches are bit-identical.
-    //
-    // `traces` (optional) carries one parent trace context per job: job i
-    // records a "job" span (children "queue_wait"/"run") under traces[i] and
-    // runs its body with that span as the thread's ambient trace, so logs
-    // and nested spans inside the job correlate. Contexts never influence
-    // scheduling; an empty/zero context is free.
     template <class Fn>
     auto run_indexed(std::size_t count, u64 base_seed, Fn fn,
-                     std::span<const double> cost_hints = {},
-                     std::span<const obs::trace_context> traces = {})
+                     std::span<const double> cost_hints = {})
         -> std::vector<std::invoke_result_t<Fn&, const job_context&>> {
         using result_t = std::invoke_result_t<Fn&, const job_context&>;
         std::vector<std::future<result_t>> futures(count);
@@ -200,17 +197,12 @@ public:
             // histograms (queue wait = post to start, run = the body itself)
             // — purely diagnostic, never fed back into results, so
             // determinism holds.
-            obs::job_span_recorder spans(
-                i < traces.size() ? traces[i] : obs::trace_context{}, i);
             const auto posted = std::chrono::steady_clock::now();
             auto task = std::make_shared<std::packaged_task<result_t()>>(
-                [this, fn, ctx, posted, spans]() mutable {
-                    spans.started();
-                    const obs::scoped_trace ambient(spans.context());
+                [this, fn, ctx, posted]() mutable {
                     const auto start = std::chrono::steady_clock::now();
                     result_t result = fn(ctx);
                     note_job(posted, start, std::chrono::steady_clock::now());
-                    spans.finished();
                     return result;
                 });
             futures[i] = task->get_future();
@@ -242,10 +234,8 @@ public:
 
     // map with a per-item cost hint (hint_of: const Item& -> double); the
     // batch is cost-balanced across the workers, results stay in item order.
-    // `traces` as in run_indexed: one parent context per item.
     template <class Item, class Fn, class HintOf>
-    auto map(const std::vector<Item>& items, u64 base_seed, Fn fn, HintOf hint_of,
-             std::span<const obs::trace_context> traces = {})
+    auto map(const std::vector<Item>& items, u64 base_seed, Fn fn, HintOf hint_of)
         -> std::vector<std::invoke_result_t<Fn&, const Item&, const job_context&>> {
         std::vector<double> hints;
         hints.reserve(items.size());
@@ -253,7 +243,7 @@ public:
         return run_indexed(
             items.size(), base_seed,
             [&items, fn](const job_context& ctx) { return fn(items[ctx.index], ctx); },
-            hints, traces);
+            hints);
     }
 
 private:

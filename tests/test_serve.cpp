@@ -1097,6 +1097,30 @@ TEST(serve_service, stats_request_returns_one_observability_row_in_slot) {
     EXPECT_TRUE(rows[2].error.empty());
     EXPECT_EQ(rows[0].outcome.workload, "hmmer");
     EXPECT_EQ(rows[2].outcome.workload, "mcf");
+
+    // Streaming emission holds the probe until its whole batch has settled
+    // too, so the streamed probe row counts the same batch.
+    serve::service streamed({.threads = 2, .streaming = true});
+    std::string text;
+    for (const std::string& l : lines) text += l + '\n';
+    std::istringstream in(text);
+    std::ostringstream out;
+    ASSERT_TRUE(streamed.serve_batch(in, out));
+    std::istringstream rows_in(out.str());
+    std::string row_line;
+    std::vector<std::string> row_lines;
+    while (std::getline(rows_in, row_line)) row_lines.push_back(row_line);
+    ASSERT_EQ(row_lines.size(), 3u);
+    const auto streamed_doc = serve::json_parse(row_lines[1], &error);
+    ASSERT_TRUE(streamed_doc.has_value()) << error;
+    const serve::json_value* streamed_stats = streamed_doc->get("stats");
+    ASSERT_NE(streamed_stats, nullptr);
+    const serve::json_value* streamed_counters = streamed_stats->get("counters");
+    ASSERT_NE(streamed_counters, nullptr);
+    const serve::json_value* streamed_requests =
+        streamed_counters->get("service.requests");
+    ASSERT_NE(streamed_requests, nullptr) << "the probe must count its own batch";
+    EXPECT_EQ(streamed_requests->as_u64(), 3u);
 }
 
 TEST(serve_service, stats_snapshot_carries_cache_and_pool_metrics) {

@@ -24,11 +24,13 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "obs/trace.h"
 #include "serve/gateway.h"
 #include "serve/protocol.h"
 #include "serve/service.h"
@@ -769,6 +771,88 @@ TEST(transport_streaming, rows_stream_back_before_the_batch_terminator) {
     client->close_write();
     client.reset();
     server.join();
+}
+
+TEST(transport_streaming, admitted_lines_retire_at_end_of_batch_not_at_emission) {
+    // With a one-line queue, line 0's row streams back mid-batch, but line 0
+    // still holds its queue slot until the batch ends — so line 1 sheds
+    // whatever the arrival timing, exactly as in a buffered batch.
+    serve::endpoint_address addr;
+    addr.kind = serve::endpoint_kind::unix_socket;
+    addr.path = socket_path("stream_admission");
+    auto lis = serve::listener::open(addr);
+    ASSERT_NE(lis, nullptr);
+
+    serve::service_options sopts;
+    sopts.threads = 2;
+    sopts.streaming = true;
+    sopts.admission.enabled = true;
+    sopts.admission.max_queue_lines = 1;
+    serve::service svc(sopts);
+    std::thread server([&] {
+        serve::serve_connections(svc, *lis, {.max_connections = 1, .framed = true});
+    });
+
+    auto client = serve::connect_endpoint(lis->address());
+    ASSERT_NE(client, nullptr);
+    *client << R"({"scenario":"vanilla","workload":"hmmer","instructions":6000,"seed":3})"
+            << '\n';
+    client->flush();
+    std::string row0;
+    ASSERT_TRUE(std::getline(*client, row0)) << "row 0 must stream mid-batch";
+
+    *client << R"({"id":"late","scenario":"vanilla","workload":"hmmer","instructions":6000,"seed":4})"
+            << '\n' << '\n';
+    client->flush();
+    std::string row1, marker;
+    ASSERT_TRUE(std::getline(*client, row1));
+    ASSERT_TRUE(std::getline(*client, marker));
+    EXPECT_TRUE(serve::is_blank_line(marker));
+
+    const auto first = serve::parse_response(row0);
+    ASSERT_TRUE(first.has_value()) << row0;
+    EXPECT_TRUE(first->error.empty()) << row0;
+    const auto second = serve::parse_response(row1);
+    ASSERT_TRUE(second.has_value()) << row1;
+    EXPECT_EQ(second->request_index, 1u);
+    EXPECT_EQ(second->error, "overloaded") << row1;
+    EXPECT_EQ(second->id, "late");
+
+    client->close_write();
+    client.reset();
+    server.join();
+    EXPECT_EQ(svc.admission().queued_lines(), 0u);
+}
+
+TEST(transport_streaming, concurrent_batches_mint_disjoint_trace_ids) {
+    // Accept threads run batches on one service concurrently; each batch must
+    // claim its own trace-minting sequence number.
+    obs::tracer& tracer = obs::tracer::instance();
+    tracer.disable();
+    tracer.reset();
+    tracer.enable(obs::trace_clock_mode::wall);
+
+    serve::service svc({.threads = 2});
+    const std::vector<std::string> lines = small_mixed_batch();
+    std::set<u64> ids[2];
+    auto run = [&](int k) {
+        for (const serve::response_row& row : svc.evaluate(lines)) {
+            ids[k].insert(row.trace.trace_id);
+        }
+    };
+    std::thread a(run, 0);
+    std::thread b(run, 1);
+    a.join();
+    b.join();
+    tracer.disable();
+    tracer.reset();
+
+    ASSERT_EQ(ids[0].size(), lines.size());
+    ASSERT_EQ(ids[1].size(), lines.size());
+    for (const u64 id : ids[0]) {
+        EXPECT_NE(id, 0u);
+        EXPECT_EQ(ids[1].count(id), 0u) << "trace id " << id << " minted twice";
+    }
 }
 
 TEST(transport_streaming, client_hangup_mid_batch_counts_an_abort) {

@@ -18,15 +18,16 @@
 //                          0 disables — every request simulates)
 //   --framed               stdio modes: terminate each batch's rows with a
 //                          blank line (what the gateway expects of a worker)
-//   --stream               pipelined streaming: emit each request's rows as
-//                          soon as its jobs finish (prefix-ordered, so the
-//                          byte stream is identical to the batch path; only
-//                          latency changes), flushing per completed request
+//   --stream               flush rows as they settle instead of once per
+//                          batch: each row is written once its jobs and all
+//                          earlier rows are done (the same bytes; only
+//                          latency changes)
 //   --admission            enable admission control (with the default limits
 //                          below; any limit flag also enables it)
 //   --max-inflight N       shed when N executor jobs are already in flight
-//   --max-queue-lines N    shed when N admitted lines are awaiting rows
-//   --max-queue-bytes N    shed when N request bytes are awaiting rows
+//   --max-queue-lines N    shed when N admitted lines are in unfinished
+//                          batches (a line is retired at its batch's end)
+//   --max-queue-bytes N    shed when those lines hold N request bytes
 //   --line-rate R          token-bucket line rate: R lines/second sustained
 //   --retry-after-ms N     base retry hint in shed rows (default 100)
 //   --batch-max-lines N    per-batch buffering caps: lines past either cap
