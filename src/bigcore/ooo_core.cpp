@@ -77,8 +77,9 @@ run_result ooo_core::run(const run_limits& limits, commit_sink* sink) {
 
     bool after_redirect = false;
     u64 executed = 0;
+    const bool* const stop = limits.stop;
 
-    while (!halted_ && executed < limits.max_instructions &&
+    while (!halted_ && executed < limits.max_instructions && !*stop &&
            last_commit_cycle_ < limits.max_cycles) {
         const addr_t pc = state_.pc;
         if (!prog_->contains(pc)) {

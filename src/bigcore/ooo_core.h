@@ -55,11 +55,21 @@ struct core_stats {
         return cycles == 0 ? 0.0
                            : static_cast<double>(instructions) / static_cast<double>(cycles);
     }
+    bool operator==(const core_stats&) const = default;
 };
 
 struct run_limits {
     u64 max_instructions = ~u64{0};
     cycle_t max_cycles = ~cycle_t{0};
+
+    // Caller-owned stop request, read after every instruction at the same
+    // place as `max_instructions`. Once `*stop` is true (typically set from
+    // inside the commit_sink during commit N), run() returns after that
+    // instruction exactly as if it had hit the instruction cap: N+1
+    // instructions, `truncated`. Clear it and call run() again to resume.
+    // The default points at a constant false, so the check is one load.
+    const bool* stop = &never_stop;
+    static constexpr bool never_stop = false;
 };
 
 struct run_result {

@@ -26,9 +26,10 @@ bool eligible(packet_kind kind, fault_target target) {
     return false;
 }
 
-// Instruction budget for one shard: warmup, then each fault needs its gap
-// plus a detection window; the fixed tail mirrors how the benches size their
-// programs. Depends only on the shard's config, never on thread count.
+// Instruction cap for one shard: warmup, then each fault needs its gap plus a
+// detection window; the fixed tail mirrors how the benches size their
+// programs. The run normally ends well before it, when its last fault
+// settles. Depends only on the shard's config, never on thread count.
 run_limits shard_limits(const fault_campaign_config& shard_cfg) {
     run_limits limits;
     limits.max_instructions =
@@ -38,14 +39,20 @@ run_limits shard_limits(const fault_campaign_config& shard_cfg) {
     return limits;
 }
 
-// One sequential injection run, bounded by `limits`. `warmup` delays the
-// first eligible injection (zero for the serial campaign, which reaches
-// steady state naturally; shards use it to skip the cold-start window).
+// One sequential injection run. It ends at the instruction where its last
+// fault settles (detected, or masked by the horizon); `limits` and program
+// end are only caps. Nothing after that instruction can change a record:
+// injection stops at `num_faults` and the error hook ignores detections with
+// no fault outstanding. `warmup` delays the first eligible injection (zero
+// for the serial campaign, which reaches steady state naturally; shards use
+// it to skip the cold-start window).
 campaign_result run_campaign_once(const soc_config& soc_cfg, const program& prog,
                                   const fault_campaign_config& cfg,
-                                  const run_limits& limits, u64 warmup) {
+                                  run_limits limits, u64 warmup) {
     campaign_result result;
     rng r(cfg.seed);
+    bool stop = cfg.num_faults == 0;
+    limits.stop = &stop;
 
     meek_soc soc(soc_cfg);
     soc.load_program(prog);
@@ -64,6 +71,7 @@ campaign_result run_campaign_once(const soc_config& soc_cfg, const program& prog
             ++result.masked;
             outstanding = false;
             next_eligible_seq = pkt.seq + cfg.gap_instructions;
+            if (injected == cfg.num_faults) stop = true;
         }
         if (outstanding || injected >= cfg.num_faults) return;
         if (pkt.seq < next_eligible_seq) return;
@@ -104,9 +112,11 @@ campaign_result run_campaign_once(const soc_config& soc_cfg, const program& prog
             current.detect_big_cycle - current.inject_big_cycle));
         outstanding = false;
         next_eligible_seq = current.inject_seq + cfg.gap_instructions;
+        if (injected == cfg.num_faults) stop = true;
     });
 
     soc.run(limits);
+    result.simulated_instructions = soc.big_core().stats().instructions;
 
     if (outstanding) {
         current.detected = false;
@@ -129,6 +139,7 @@ void note_shard_metrics(const fault_campaign_config& cfg,
     obs::metrics_registry& m = *cfg.metrics;
     m.get_counter("campaign.faults_injected").add(result.detected + result.masked);
     m.get_counter("campaign.records_emitted").add(result.faults.size());
+    m.get_counter("campaign.instructions_simulated").add(result.simulated_instructions);
     m.get_counter("campaign.shards_completed").add(1);
     if (resumed) m.get_counter("campaign.shards_resumed").add(1);
 }
@@ -253,6 +264,7 @@ campaign_result run_fault_campaign(const soc_config& soc_cfg, const program& pro
         merged.masked += p.masked;
         merged.latency_ns.merge(p.latency_ns);
         merged.resumed_shards += p.resumed_shards;
+        merged.simulated_instructions += p.simulated_instructions;
     }
     return merged;
 }

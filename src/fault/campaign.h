@@ -59,7 +59,10 @@ struct fault_campaign_config {
     // fast-forwarded), so shards sample the workload's steady-state loop
     // region rather than disjoint stream offsets; `shard_warmup_instructions`
     // keeps every shard's injections out of the cold-cache startup window the
-    // serial campaign only traverses once.
+    // serial campaign only traverses once. A shard's run ends at the
+    // instruction where its last fault settles; its instruction budget
+    // (warmup + faults x (gap + 2000) + horizon + 50k) is only a cap for a
+    // shard whose faults never all settle.
     u32 faults_per_shard = 50;
     u64 shard_warmup_instructions = 20'000;
 
@@ -77,11 +80,12 @@ struct fault_campaign_config {
 
     // Optional progress observability: when non-null, every finished shard
     // pours campaign.faults_injected / campaign.records_emitted /
-    // campaign.shards_completed / campaign.shards_resumed counters into this
-    // registry, so a long sharded campaign is watchable through the same
-    // stats JSON as everything else. Counters are relaxed atomics — safe
-    // from concurrent shard jobs. Purely diagnostic: never part of the
-    // checkpoint header or context fingerprint, never influences results.
+    // campaign.instructions_simulated / campaign.shards_completed /
+    // campaign.shards_resumed counters into this registry, so a long sharded
+    // campaign is watchable through the same stats JSON as everything else.
+    // Counters are relaxed atomics — safe from concurrent shard jobs. Purely
+    // diagnostic: never part of the checkpoint header or context fingerprint,
+    // never influences results.
     obs::metrics_registry* metrics = nullptr;
 };
 
@@ -108,6 +112,10 @@ struct campaign_result {
     u64 masked = 0;
     running_stat latency_ns;  // over detected faults
     u64 resumed_shards = 0;   // shards satisfied from checkpoints, not simulation
+    // Big-core instructions simulated, summed over shards in shard order; a
+    // shard resumed from a checkpoint contributes 0. Diagnostic only: never
+    // checkpointed.
+    u64 simulated_instructions = 0;
 
     double detection_rate() const {
         const u64 total = detected + masked;
@@ -115,16 +123,19 @@ struct campaign_result {
     }
 };
 
-// Runs a fresh MEEK SoC over `prog` injecting per `cfg`. The program must be
-// long enough to host the requested faults; the campaign stops at program
-// end regardless.
+// Runs a fresh MEEK SoC over `prog` injecting per `cfg`. The run ends at the
+// instruction where the last fault settles (detected, or masked by the
+// horizon); program end is only a cap, so a program too short to host every
+// requested fault yields fewer records. A campaign with no faults simulates
+// nothing.
 campaign_result run_fault_campaign(const soc_config& soc_cfg, const program& prog,
                                    const fault_campaign_config& cfg);
 
 // Parallel campaign: fans fixed-size fault shards (see `faults_per_shard`)
 // out across `ex`'s workers; each shard runs its own SoC over `prog` with a
-// per-shard rng stream and an instruction budget sized to its fault count,
-// and the per-shard records/accumulators are merged in shard order at join.
+// per-shard rng stream until its last fault settles (capped by an instruction
+// budget sized to its fault count), and the per-shard records/accumulators
+// are merged in shard order at join.
 // Deterministic at any thread count for a given config.
 campaign_result run_fault_campaign(const soc_config& soc_cfg, const program& prog,
                                    const fault_campaign_config& cfg,

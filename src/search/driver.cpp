@@ -221,8 +221,9 @@ point_result reduce_point(const design_point& pt, const sim::run_outcome& out,
 
 // The estimated evaluation cost of one candidate on this rung: the perf
 // run's cost hint, plus — for MEEK points on a probing rung — the serial
-// fault-campaign probe, which dominates (one full SoC simulation of the
-// probe program). Drives the cost-balanced shard split below; never results.
+// fault-campaign probe, which dominates (one SoC simulation of the probe
+// program until its last fault settles, sized here by the whole program as
+// an upper bound). Drives the cost-balanced shard split below; never results.
 double candidate_cost(const design_point& pt, const workload_profile& profile,
                       const rung_budget& budget, const search_options& opts) {
     double cost = sim::cost_hint(perf_spec(pt, profile, budget, opts));

@@ -346,6 +346,41 @@ TEST(bigcore, run_limits_truncate_and_resume) {
     EXPECT_EQ(f.core.state().read_x(5), 100u);
 }
 
+TEST(bigcore, run_limits_stop_flag_ends_after_the_setting_commit_and_resumes) {
+    // Raises the caller-owned stop flag while committing instruction 37.
+    struct stopping_sink : commit_sink {
+        bool stop = false;
+        cycle_t on_commit(const commit_record& rec, cycle_t proposed) override {
+            if (rec.seq == 37) stop = true;
+            return proposed;
+        }
+    } sink;
+    const program p = repeat_block("addi x5, x5, 1", 100, "li x5, 0");
+
+    core_fixture whole;
+    ASSERT_TRUE(whole.run(p).halted);
+
+    core_fixture f;
+    run_limits limits;
+    limits.stop = &sink.stop;
+    f.core.load_program(p);
+    const run_result first = f.core.run(limits, &sink);
+    EXPECT_TRUE(first.truncated);
+    EXPECT_FALSE(first.halted);
+    EXPECT_EQ(first.instructions, 38u);
+    EXPECT_EQ(f.core.stats().instructions, 38u);
+
+    // Still set: a second call returns at once without simulating.
+    EXPECT_EQ(f.core.run(limits, &sink).instructions, 0u);
+
+    sink.stop = false;
+    const run_result rest = f.core.run(limits, &sink);
+    EXPECT_TRUE(rest.halted);
+    EXPECT_EQ(first.instructions + rest.instructions, whole.core.stats().instructions);
+    EXPECT_EQ(f.core.stats(), whole.core.stats());
+    EXPECT_EQ(f.core.state().read_x(5), 100u);
+}
+
 TEST(bigcore, fp_pipeline_and_values) {
     core_fixture f;
     const program p = assemble(R"(

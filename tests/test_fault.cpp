@@ -1,6 +1,6 @@
 // Fault-campaign tests: detection guarantees per target class
-// (parameterized), latency sanity, masking bounds, report integrity, and
-// shard checkpoint/resume.
+// (parameterized), latency sanity, masking bounds, report integrity, shard
+// checkpoint/resume, early run end, and golden records.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -192,6 +192,8 @@ TEST(campaign_resume, checkpointed_rerun_is_bit_identical_and_skips_simulation) 
     const campaign_result first = run_fault_campaign(fx.soc, fx.wl.prog, fx.fc, ex);
     EXPECT_EQ(first.resumed_shards, 0u);
     expect_same_records(plain, first);
+    EXPECT_GT(first.simulated_instructions, 0u);
+    EXPECT_EQ(first.simulated_instructions, plain.simulated_instructions);
     EXPECT_EQ(std::distance(std::filesystem::directory_iterator(dir),
                             std::filesystem::directory_iterator{}),
               4) << "one checkpoint per shard";
@@ -199,6 +201,37 @@ TEST(campaign_resume, checkpointed_rerun_is_bit_identical_and_skips_simulation) 
     const campaign_result second = run_fault_campaign(fx.soc, fx.wl.prog, fx.fc, ex);
     EXPECT_EQ(second.resumed_shards, 4u) << "all shards must come from checkpoints";
     expect_same_records(first, second);
+    EXPECT_EQ(second.simulated_instructions, 0u) << "resumed shards simulate nothing";
+}
+
+TEST(campaign_resume, each_shard_stops_below_its_instruction_budget) {
+    const std::string dir = ::testing::TempDir() + "meek_resume_budget";
+    std::filesystem::remove_all(dir);
+    resume_fixture fx(dir);  // 20 faults over 4 shards of 5
+    sim::executor ex(2);
+
+    const campaign_result first = run_fault_campaign(fx.soc, fx.wl.prog, fx.fc, ex);
+    ASSERT_EQ(first.faults.size(), 20u);
+
+    // The budget a 5-fault shard is capped at; the run must end earlier, when
+    // its last fault settles.
+    const u64 budget = fx.fc.shard_warmup_instructions +
+                       u64{fx.fc.faults_per_shard} * (fx.fc.gap_instructions + 2'000) +
+                       fx.fc.detection_horizon + 50'000;
+    // Dropping one shard's checkpoint re-simulates exactly that shard, so the
+    // rerun's instruction count is that shard's alone.
+    u64 sum = 0;
+    for (std::size_t shard = 0; shard < 4; ++shard) {
+        ASSERT_TRUE(std::filesystem::remove(dir + "/shard_" + std::to_string(shard) +
+                                            ".ckpt"));
+        const campaign_result rerun = run_fault_campaign(fx.soc, fx.wl.prog, fx.fc, ex);
+        EXPECT_EQ(rerun.resumed_shards, 3u);
+        expect_same_records(first, rerun);
+        EXPECT_GT(rerun.simulated_instructions, 0u) << shard;
+        EXPECT_LT(rerun.simulated_instructions, budget) << shard;
+        sum += rerun.simulated_instructions;
+    }
+    EXPECT_EQ(sum, first.simulated_instructions);
 }
 
 TEST(campaign_resume, partial_checkpoints_resume_only_missing_shards) {
@@ -311,14 +344,88 @@ TEST(campaign_resume, truncated_checkpoint_is_rerun_not_trusted) {
     expect_same_records(first, second);
 }
 
-TEST(campaign, errors_only_when_faults_injected) {
-    // Control: a campaign with zero faults reports a clean run.
+TEST(campaign, zero_fault_campaign_reports_a_clean_run_and_simulates_nothing) {
     fault_campaign_config fc;
     fc.num_faults = 0;
     const generated_workload wl = generate_workload(*find_profile("hmmer"), 30'000, 13);
+    sim::executor ex(2);
+    for (const campaign_result& r : {run_fault_campaign(soc_config{}, wl.prog, fc),
+                                     run_fault_campaign(soc_config{}, wl.prog, fc, ex)}) {
+        EXPECT_TRUE(r.faults.empty());
+        EXPECT_EQ(r.detected, 0u);
+        EXPECT_EQ(r.simulated_instructions, 0u);
+    }
+}
+
+// -------------------------------------------------------------- goldens ---
+
+// One line per record: inject_seq, inject cycle, detect cycle, detected,
+// detection kind, corrupted packet kind.
+std::string describe_records(const campaign_result& r) {
+    std::string out;
+    for (const fault_record& f : r.faults) {
+        out += std::to_string(f.inject_seq) + ' ' + std::to_string(f.inject_big_cycle) +
+               ' ' + std::to_string(f.detect_big_cycle) + ' ' +
+               (f.detected ? '1' : '0') + ' ' +
+               std::to_string(static_cast<int>(f.kind)) + ' ' +
+               std::to_string(static_cast<int>(f.corrupted_kind)) + '\n';
+    }
+    return out;
+}
+
+// The exact records of three small campaigns. A run ends once its last fault
+// settles; these pin that ending it early never moves a record.
+TEST(campaign_golden, serial_campaign_records) {
+    fault_campaign_config fc;
+    fc.num_faults = 4;
+    fc.seed = 7;
+    const generated_workload wl =
+        generate_workload(*find_profile("hmmer"), 4 * 8'000 + 50'000, 13);
+    EXPECT_EQ(describe_records(run_fault_campaign(soc_config{}, wl.prog, fc)),
+              "6014 25284 26321 1 1 0\n"
+              "12014 33559 34857 1 3 1\n"
+              "18037 41791 41931 1 1 0\n"
+              "24046 49925 50224 1 1 0\n");
+}
+
+TEST(campaign_golden, sharded_campaign_with_a_horizon_masked_last_fault) {
+    // A 1000-instruction horizon masks some status-word faults; here the
+    // first fault of shard 0 and the last fault of shard 1, so shard 1's run
+    // ends in the packet hook's horizon branch.
+    fault_campaign_config fc;
+    fc.num_faults = 6;
+    fc.faults_per_shard = 3;
+    fc.detection_horizon = 1'000;
+    fc.target = fault_target::status_word;
+    fc.seed = 4;
+    const generated_workload wl =
+        generate_workload(*find_profile("hmmer"), 6 * 8'000 + 50'000, 13);
+    sim::executor ex(2);
+    const campaign_result r = run_fault_campaign(soc_config{}, wl.prog, fc, ex);
+    ASSERT_EQ(r.faults.size(), 6u);
+    EXPECT_FALSE(r.faults[5].detected);
+    EXPECT_EQ(describe_records(r),
+              "26329 52620 0 0 0 3\n"
+              "33468 61584 62857 1 6 3\n"
+              "40048 70215 71168 1 6 3\n"
+              "26329 52620 52779 1 7 3\n"
+              "32880 61253 61387 1 7 3\n"
+              "39442 69396 0 0 0 3\n");
+}
+
+TEST(campaign_golden, program_ending_before_the_last_injection) {
+    // Room for three of the eight faults: the run ends at program end, never
+    // by the stop.
+    fault_campaign_config fc;
+    fc.num_faults = 8;
+    fc.seed = 3;
+    const generated_workload wl = generate_workload(*find_profile("hmmer"), 25'000, 13);
     const campaign_result r = run_fault_campaign(soc_config{}, wl.prog, fc);
-    EXPECT_TRUE(r.faults.empty());
-    EXPECT_EQ(r.detected, 0u);
+    EXPECT_LT(r.faults.size(), 8u);
+    EXPECT_EQ(describe_records(r),
+              "6004 25280 26302 1 3 0\n"
+              "12006 33557 34859 1 3 0\n"
+              "18007 41722 41872 1 3 0\n");
 }
 
 // -------------------------------------------------------------- metrics ---
@@ -346,6 +453,9 @@ TEST(campaign_metrics, shards_pour_progress_counters_into_the_registry) {
               first.detected + first.masked);
     EXPECT_EQ(counter_or_zero(snap, "campaign.records_emitted"),
               first.faults.size());
+    EXPECT_GT(first.simulated_instructions, 0u);
+    EXPECT_EQ(counter_or_zero(snap, "campaign.instructions_simulated"),
+              first.simulated_instructions);
 
     // The registry is observability only: results match a metrics-free run.
     fault_campaign_config plain = fx.fc;
@@ -363,6 +473,9 @@ TEST(campaign_metrics, shards_pour_progress_counters_into_the_registry) {
     EXPECT_EQ(counter_or_zero(snap2, "campaign.shards_resumed"), 4u);
     EXPECT_EQ(counter_or_zero(snap2, "campaign.records_emitted"),
               second.faults.size());
+    EXPECT_EQ(second.simulated_instructions, 0u);
+    ASSERT_NE(snap2.counter_value("campaign.instructions_simulated"), nullptr);
+    EXPECT_EQ(*snap2.counter_value("campaign.instructions_simulated"), 0u);
 }
 
 }  // namespace
