@@ -231,7 +231,7 @@ double candidate_cost(const design_point& pt, const workload_profile& profile,
         const fault_campaign_config fc = probe_config(opts);
         const double probe_instructions =
             static_cast<double>(probe_program_length(fc));
-        cost += probe_instructions * (1.5 + 0.25 * pt.soc.num_little_cores);
+        cost += probe_instructions * sim::meek_cost_factor(pt.soc.num_little_cores);
     }
     return cost;
 }

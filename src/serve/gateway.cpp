@@ -215,14 +215,14 @@ std::size_t gateway::revive_workers() {
 std::vector<std::string> gateway::evaluate(const std::vector<std::string>& lines,
                                            gateway_stats* stats) {
     std::vector<std::string> out;
-    evaluate_streamed(lines, stats, [&out](std::vector<std::string>&& rows) {
+    run_batch(lines, /*overflow=*/0, stats, [&out](std::vector<std::string>&& rows) {
         for (std::string& row : rows) out.push_back(std::move(row));
     });
     return out;
 }
 
-void gateway::evaluate_streamed(const std::vector<std::string>& lines,
-                                gateway_stats* stats, const row_sink& sink) {
+void gateway::run_batch(const std::vector<std::string>& lines, u64 overflow,
+                        gateway_stats* stats, const row_sink& sink) {
     const std::size_t num_workers = workers_.size();
     const std::size_t revived = revive_workers();
     const std::size_t failed_before = num_workers - alive_workers();
@@ -245,7 +245,7 @@ void gateway::evaluate_streamed(const std::vector<std::string>& lines,
         bool emitted = false;
         std::vector<std::pair<u64, std::string>> rows;  // (repeat, final line)
     };
-    std::vector<request_state> requests(lines.size());
+    std::vector<request_state> requests(lines.size() + overflow);
 
     // The reorder window over requests: the sink takes request g's rows once
     // requests 0..g-1 are out and g has settled. Reader threads advance it
@@ -296,15 +296,24 @@ void gateway::evaluate_streamed(const std::vector<std::string>& lines,
     // evaluate() API; the stream path filters them) must never reach a
     // worker — it would read as that worker's batch terminator and desync
     // the stream — so it is settled locally with the same error row a
-    // single-process service would emit.
+    // single-process service would emit. So is every batch-cap overflow
+    // slot past the lines: its content was never buffered.
     std::vector<double> costs(lines.size(), 0.0);
-    std::vector<bool> settled_locally(lines.size(), false);
     std::vector<u64> admitted_bytes;  // queue accounting to retire at the end
-    u64 shed = 0;
+    u64 shed = overflow;
+    const auto settle_locally = [&requests](std::size_t i, const response_row& row) {
+        request_state& rs = requests[i];
+        rs.settled_by_error = true;
+        rs.settled = true;
+        ++rs.error_rows;
+        rs.rows.emplace_back(0, to_json(row));
+    };
+    for (std::size_t i = lines.size(); i < requests.size(); ++i) {
+        settle_locally(i, overloaded_row(i, admission_.options().retry_after_ms));
+    }
     for (std::size_t i = 0; i < lines.size(); ++i) {
         request_state& rs = requests[i];
         const parsed_request parsed = parse_request(strip_cr(lines[i]));
-        bool line_shed = false;
         if (parsed.ok()) {
             rs.id = parsed.request.id;
             rs.repeats = parsed.request.repeats;
@@ -317,19 +326,13 @@ void gateway::evaluate_streamed(const std::vector<std::string>& lines,
             const admission_controller::decision gate =
                 admission_.admit_line(lines[i].size(), rs.repeats);
             if (!gate.admit) {
-                rs.settled_by_error = true;
-                rs.settled = true;
-                ++rs.error_rows;
                 ++shed;
-                rs.rows.emplace_back(
-                    0, to_json(overloaded_row(i, gate.retry_after_ms, rs.id)));
-                settled_locally[i] = true;
-                line_shed = true;
+                settle_locally(i, overloaded_row(i, gate.retry_after_ms, rs.id));
             } else {
                 admitted_bytes.push_back(lines[i].size());
             }
         }
-        if (!line_shed) costs[i] = line_cost(parsed);
+        if (!rs.settled) costs[i] = line_cost(parsed);
         if (tracing) {
             line_trace& lt = line_traces[i];
             u64 trace_id = 0;
@@ -352,11 +355,7 @@ void gateway::evaluate_streamed(const std::vector<std::string>& lines,
             response_row err;
             err.request_index = i;
             err.error = parsed.error;  // "bad json: ...", as the worker would say
-            rs.settled_by_error = true;
-            rs.settled = true;
-            ++rs.error_rows;
-            rs.rows.emplace_back(0, to_json(err));
-            settled_locally[i] = true;
+            settle_locally(i, err);
         }
     }
 
@@ -394,13 +393,11 @@ void gateway::evaluate_streamed(const std::vector<std::string>& lines,
         } else {
             rs.owner = alive[bins[i]];
         }
-        if (!settled_locally[i] && num_workers > 0) {
-            owned[rs.owner].push_back(i);
-        }
+        if (!rs.settled && num_workers > 0) owned[rs.owner].push_back(i);
     }
 
-    // Requests settled locally (blank lines, admission shed) at the head of
-    // the batch can stream out before any worker responds.
+    // Requests settled locally (blank lines, admission shed, overflow) at the
+    // head of the batch can stream out before any worker responds.
     {
         std::lock_guard lock(emit_mutex);
         drain();
@@ -573,10 +570,11 @@ void gateway::evaluate_streamed(const std::vector<std::string>& lines,
     }
 
     for (const u64 bytes : admitted_bytes) admission_.retire_line(bytes);
+    admission_.note_batch_overflow(overflow);
     total_errors_ += error_rows;
     total_rows_ += emitted_rows;
     if (stats) {
-        stats->requests += lines.size();
+        stats->requests += requests.size();
         stats->rows += emitted_rows;
         stats->errors += error_rows;
         stats->shed += shed;
@@ -589,17 +587,32 @@ void gateway::evaluate_streamed(const std::vector<std::string>& lines,
 
 bool gateway::serve_batch(std::istream& in, std::ostream& out, gateway_stats* stats,
                           bool framed) {
-    const batch_read batch = read_batch(in, opts_.limits);
-    if (batch.stream_error) {
+    // Drain the shared batch reader: admitted lines, then the overflow slots
+    // (the caps are sticky, so overflow is always a contiguous tail).
+    batch_reader reader(in, opts_.limits);
+    std::vector<std::string> lines;
+    u64 overflow = 0;
+    std::string_view line;
+    for (slot_kind kind; (kind = reader.next(&line)) != slot_kind::end;) {
+        if (kind == slot_kind::overflow) {
+            ++overflow;
+        } else {
+            lines.emplace_back(line);
+        }
+    }
+    const bool stream_error = reader.stream_error();
+    if (stream_error) {
         if (stats) stats->stream_errors += 1;
         MEEK_LOG(warn,
                  "gateway: input stream died (I/O error, not EOF) after %zu lines",
-                 batch.lines.size());
+                 lines.size());
     }
-    if (batch.empty()) return false;
+    if (lines.empty() && overflow == 0) return false;
 
+    // `streaming` selects only the flush cadence: after every settled
+    // request, or once at the end of the batch.
     bool aborted = false;
-    const auto write_rows = [&](std::vector<std::string>&& rows) {
+    run_batch(lines, overflow, stats, [&](std::vector<std::string>&& rows) {
         if (aborted) return;
         for (const std::string& row : rows) {
             out << row << '\n';
@@ -611,35 +624,7 @@ bool gateway::serve_batch(std::istream& in, std::ostream& out, gateway_stats* st
             }
         }
         if (opts_.streaming && !rows.empty()) out.flush();
-    };
-
-    if (opts_.streaming) {
-        evaluate_streamed(batch.lines, stats, write_rows);
-    } else {
-        std::vector<std::string> rows = evaluate(batch.lines, stats);
-        write_rows(std::move(rows));
-    }
-
-    // Batch-cap overflow tail: in-slot overloaded rows past the evaluated
-    // indices, exactly as serve::service settles them.
-    if (batch.overflow_lines > 0) {
-        const u64 retry = admission_.options().retry_after_ms;
-        std::vector<std::string> tail;
-        tail.reserve(batch.overflow_lines);
-        for (u64 k = 0; k < batch.overflow_lines; ++k) {
-            tail.push_back(to_json(overloaded_row(batch.lines.size() + k, retry)));
-        }
-        write_rows(std::move(tail));
-        admission_.note_batch_overflow(batch.overflow_lines);
-        total_rows_ += batch.overflow_lines;
-        total_errors_ += batch.overflow_lines;
-        if (stats) {
-            stats->requests += batch.overflow_lines;
-            stats->rows += batch.overflow_lines;
-            stats->errors += batch.overflow_lines;
-            stats->shed += batch.overflow_lines;
-        }
-    }
+    });
 
     if (!aborted) {
         if (framed) out << '\n';
@@ -650,7 +635,7 @@ bool gateway::serve_batch(std::istream& in, std::ostream& out, gateway_stats* st
         }
     }
     slo_feedback_tick();
-    return !aborted && !batch.stream_error;
+    return !aborted && !stream_error;
 }
 
 gateway_stats gateway::serve_stream(std::istream& in, std::ostream& out, bool framed) {

@@ -37,22 +37,30 @@
 // The gateway never simulates and never inspects outcome fields — protocol
 // framing, cost estimation, sharding, index rewriting, order-preserving
 // merge.
-// Streaming mode (gateway_options.streaming): serve_batch emits each
-// request's merged rows as soon as that request *settles* — its worker has
-// answered every row it owes (workers answer their sub-batches in order, so
-// a row for a later sub-batch line settles every earlier one) or it was
-// settled locally (blank line, admission shed) — advancing a global prefix
-// window so the byte stream stays identical to the buffered path; shed rows
-// at the head of the batch go out before any worker responds.
+//
+// One engine merges every batch: each request's rows leave as soon as that
+// request *settles* — its worker has answered every row it owes (workers
+// answer their sub-batches in order, so a row for a later sub-batch line
+// settles every earlier one) or it was settled locally (blank line,
+// admission shed, batch-cap overflow) — advancing a global prefix window, so
+// locally settled rows at the head of the batch go out before any worker
+// responds. Streaming mode (gateway_options.streaming) selects only the
+// flush cadence, as in serve::service: flush after every settled request, or
+// once per batch. The bytes are identical either way.
+//
+// Batch framing and the per-batch caps come from serve::batch_reader, the
+// reader serve::service uses, so the caps are sticky in both front ends:
+// once a line crosses a cap, it and every later line of the batch become
+// in-slot "overloaded" rows, and the gateway's output matches meek_serve's
+// byte for byte under caps too.
 //
 // Overload behavior mirrors serve::service: with admission configured, each
 // parseable line is offered to the admission_controller at parse time and a
 // shed line settles locally with one in-slot overloaded row (it is never
 // forwarded — an overloaded front-end must not spend worker capacity on work
 // it is rejecting). Worker-emitted "overloaded" rows pass through untouched,
-// like every other error row. The per-batch buffering caps and the
-// SLO-feedback loop (burn rate over the worker round-trip histogram) work as
-// in serve::service.
+// like every other error row. The SLO-feedback loop (burn rate over the
+// worker round-trip histogram) works as in serve::service.
 #pragma once
 
 #include <functional>
@@ -85,7 +93,7 @@ struct gateway_options {
     admission_options admission;  // front-end admission control (default off;
                                   // the in-flight-jobs cap is inert here —
                                   // the gateway runs no jobs of its own)
-    bool streaming = false;       // per-settled-request row emission
+    bool streaming = false;       // flush per settled request, not per batch
     // Nonempty clauses => after each batch the worker round-trip burn rate
     // against this spec feeds admission (tighten on violation, recover).
     obs::slo_spec slo_feedback;
@@ -115,17 +123,10 @@ public:
     std::size_t alive_workers() const;
 
     // Shard one batch across the pool and merge the responses: one NDJSON
-    // row per (request, repeat) in global order, ready to print.
+    // row per (request, repeat) in global order, ready to print. No framing
+    // and no batch caps apply: every element is a request slot.
     std::vector<std::string> evaluate(const std::vector<std::string>& lines,
                                       gateway_stats* stats = nullptr);
-
-    // The streaming variant: `sink` receives each request's merged rows the
-    // moment the global prefix up to it has settled — possibly from a worker
-    // reader thread, serialized under an internal mutex. Concatenating every
-    // sink call reproduces evaluate()'s return byte for byte.
-    using row_sink = std::function<void(std::vector<std::string>&&)>;
-    void evaluate_streamed(const std::vector<std::string>& lines,
-                           gateway_stats* stats, const row_sink& sink);
 
     // Stream plumbing mirroring serve::service: blank-line framed batches in,
     // merged rows out (plus a blank terminator per batch when `framed`).
@@ -151,6 +152,15 @@ public:
 
 private:
     struct worker;
+
+    // The one merge engine (see the header comment): request slots are
+    // `lines` followed by `overflow` batch-cap overflow slots. `sink`
+    // receives each request's merged rows the moment the global prefix up to
+    // it has settled — possibly from a worker reader thread, serialized under
+    // an internal mutex.
+    using row_sink = std::function<void(std::vector<std::string>&&)>;
+    void run_batch(const std::vector<std::string>& lines, u64 overflow,
+                   gateway_stats* stats, const row_sink& sink);
 
     // Between-batches lifecycle pass: probe process workers for silent exits,
     // then respawn/reconnect every failed worker. Returns how many revived.

@@ -21,40 +21,31 @@ bool is_blank_line(std::string_view line) {
     return true;
 }
 
-batch_read read_batch(std::istream& in, const batch_limits& limits) {
-    batch_read out;
-    u64 bytes = 0;
-    std::string line;
+slot_kind batch_reader::next(std::string_view* line) {
     // getline on a throwing streambuf (a failing transport) sets badbit and
-    // swallows the exception by default; in.bad() below catches both that
+    // swallows the exception by default; stream_error() catches both that
     // and a streambuf that signalled the error state directly.
-    while (std::getline(in, line)) {
-        if (is_blank_line(line)) {
-            if (out.empty()) continue;  // skip leading blank lines
-            break;                      // batch terminator
+    while (std::getline(in_, raw_)) {
+        *line = strip_cr(raw_);
+        if (is_blank_line(*line)) {
+            if (lines_ > 0 || overflowing_) return slot_kind::end;  // terminator
+            continue;  // skip leading blank lines
         }
-        const std::string_view stripped = strip_cr(line);
-        // Once a cap is crossed every later line of the batch overflows too,
-        // so overflow indices stay contiguous at the tail — each becomes one
-        // in-slot error row without its content ever being buffered.
-        const bool over_lines =
-            limits.max_lines != 0 && out.lines.size() >= limits.max_lines;
+        // Sticky: once a cap is crossed every later line of the batch
+        // overflows too, so overflow slots stay a contiguous tail.
+        const bool over_lines = limits_.max_lines != 0 && lines_ >= limits_.max_lines;
         const bool over_bytes =
-            limits.max_bytes != 0 && bytes + stripped.size() > limits.max_bytes;
-        if (out.overflow_lines > 0 || over_lines || over_bytes) {
-            ++out.overflow_lines;
-            continue;
-        }
-        bytes += stripped.size();
-        out.lines.emplace_back(stripped);
+            limits_.max_bytes != 0 && bytes_ + line->size() > limits_.max_bytes;
+        overflowing_ = overflowing_ || over_lines || over_bytes;
+        if (overflowing_) return slot_kind::overflow;
+        ++lines_;
+        bytes_ += line->size();
+        return slot_kind::line;
     }
-    out.stream_error = in.bad();
-    return out;
+    return slot_kind::end;
 }
 
-std::vector<std::string> read_batch_lines(std::istream& in) {
-    return read_batch(in).lines;
-}
+bool batch_reader::stream_error() const { return in_.bad(); }
 
 namespace {
 

@@ -44,7 +44,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "obs/trace.h"
 #include "sim/job.h"
@@ -65,38 +64,49 @@ std::string_view strip_cr(std::string_view line);
 // Blank for framing purposes: empty or whitespace-only (after CR strip).
 bool is_blank_line(std::string_view line);
 
-// Memory bounds on one buffered batch. A connection may not make the server
-// buffer unbounded text before any evaluation starts: lines past either cap
-// are read (to stay framed) but their content is discarded, and each becomes
-// an in-slot "overloaded" error row downstream. 0 = unlimited.
+// Memory bounds on one batch. A connection may not make the server buffer
+// unbounded text before any evaluation starts: once a line would cross
+// either cap, it and every later line of the batch are read (to stay framed)
+// but their content is discarded, so overflow slots always form a contiguous
+// tail of the batch and each becomes an in-slot "overloaded" error row
+// downstream. 0 = unlimited.
 struct batch_limits {
-    u64 max_lines = 65'536;        // request lines buffered per batch
-    u64 max_bytes = 64u << 20;     // request bytes buffered per batch
+    u64 max_lines = 65'536;        // request lines admitted per batch
+    u64 max_bytes = 64u << 20;     // request bytes admitted per batch
 };
 
-// One batch off a stream, with its framing diagnostics. `lines` holds the
-// admitted (CR-stripped) request lines; `overflow_lines` counts lines past
-// the batch_limits caps — they occupy request indices
-// [lines.size(), lines.size() + overflow_lines) but their content was
-// discarded. `stream_error` distinguishes a stream that *died* (in.bad() — an
-// I/O error on a socket, a throwing streambuf) from a clean end-of-stream;
-// the two must not be conflated or a flaky transport looks like a polite
-// client hanging up.
-struct batch_read {
-    std::vector<std::string> lines;
-    u64 overflow_lines = 0;
-    bool stream_error = false;
-    bool empty() const { return lines.empty() && overflow_lines == 0; }
+// The next request slot of a batch: a line to evaluate, a line past the
+// batch caps (its content dropped; it settles as an "overloaded" row), or the
+// batch's end.
+enum class slot_kind { line, overflow, end };
+
+// The one batch reader, shared by serve::service and serve::gateway: reads
+// one batch off `in` slot by slot — skipping leading blank lines, stripping
+// CRs, enforcing `limits` — so both front ends frame and cap identically.
+// Construct one per batch.
+class batch_reader {
+public:
+    batch_reader(std::istream& in, const batch_limits& limits) : in_(in), limits_(limits) {}
+
+    // The next slot. For slot_kind::line, `*line` is the CR-stripped line,
+    // valid until the next call. `end` on the batch's blank terminator or
+    // when the stream runs out; a first-call `end` means `in` held no more
+    // request lines.
+    slot_kind next(std::string_view* line);
+
+    // The stream *died* (in.bad() — an I/O error on a socket, a throwing
+    // streambuf) rather than ending cleanly; the two must not be conflated
+    // or a flaky transport looks like a polite client hanging up.
+    bool stream_error() const;
+
+private:
+    std::istream& in_;
+    batch_limits limits_;
+    std::string raw_;
+    bool overflowing_ = false;  // a cap was crossed: the rest is overflow
+    u64 lines_ = 0;             // admitted lines
+    u64 bytes_ = 0;             // admitted bytes
 };
-
-// Read one batch: skips leading blank lines, collects CR-stripped request
-// lines until a blank line or EOF, enforcing `limits`. An empty() result
-// means `in` was exhausted before any request line.
-batch_read read_batch(std::istream& in, const batch_limits& limits = {});
-
-// Legacy unbounded view of read_batch (tests, simple drivers): just the
-// admitted lines, default limits.
-std::vector<std::string> read_batch_lines(std::istream& in);
 
 // One evaluation request, as parsed from a single NDJSON line.
 struct run_request {

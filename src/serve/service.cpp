@@ -397,32 +397,8 @@ bool service::serve_batch(std::istream& in, std::ostream& out, batch_stats* stat
     obs::atomic_log_histogram& serialize_ns =
         metrics_.get_histogram("service.serialize_ns");
 
-    // The source: blank-line framing, CR stripping, and the per-batch
-    // buffering caps — past either cap a line's content is dropped and its
-    // slot settles as an overloaded row (0 = unlimited).
-    std::string raw;
-    bool saw_any = false;
-    u64 read = 0;
-    u64 buffered_bytes = 0;
-    const auto next = [&](std::string_view* line) {
-        while (std::getline(in, raw)) {
-            *line = strip_cr(raw);
-            if (is_blank_line(*line)) {
-                if (saw_any) return slot_kind::end;  // end-of-batch marker
-                continue;  // leading blank lines separate batches
-            }
-            saw_any = true;
-            const u64 index = read++;
-            const batch_limits& caps = opts_.limits;
-            const bool over_lines = caps.max_lines != 0 && index >= caps.max_lines;
-            const bool over_bytes =
-                caps.max_bytes != 0 && buffered_bytes + line->size() > caps.max_bytes;
-            if (over_lines || over_bytes) return slot_kind::overflow;
-            buffered_bytes += line->size();
-            return slot_kind::line;
-        }
-        return slot_kind::end;
-    };
+    // The source: the shared batch reader (framing, CR strip, batch caps).
+    batch_reader reader(in, opts_.limits);
 
     // The sink: serialize each row (its own "serialize" span, a top-level
     // sibling of the line's "request" span) and write it, until the client
@@ -443,11 +419,11 @@ bool service::serve_batch(std::istream& in, std::ostream& out, batch_stats* stat
         out.flush();
         aborted = !out;
     };
-    const u64 lines = run_batch(next, emit,
-                                opts_.streaming ? std::function<void()>(flush) : nullptr,
-                                stats);
+    const u64 lines = run_batch(
+        [&reader](std::string_view* line) { return reader.next(line); }, emit,
+        opts_.streaming ? std::function<void()>(flush) : nullptr, stats);
 
-    const bool stream_error = in.bad();
+    const bool stream_error = reader.stream_error();
     if (stream_error) {
         metrics_.get_counter("service.stream_errors").add(1);
         if (stats) stats->stream_errors += 1;

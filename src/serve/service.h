@@ -9,13 +9,13 @@
 // in their slot instead of aborting the batch; so does a job that throws.
 //
 // Batch framing on a stream: one request per line; a blank line (or EOF)
-// ends the batch, and a trailing '\r' is stripped by the framing layer so
-// CRLF clients frame identically. serve_stream() loops batches until EOF,
-// flushing after each, which is the stdin/stdout daemon mode of
-// tools/meek_serve. In *framed* mode — the socket transport's wire format,
-// and `meek_serve --framed` — each batch's rows are followed by one blank
-// line, mirroring the request framing, so a client can detect end-of-batch
-// without counting rows.
+// ends the batch, and a trailing '\r' is stripped by the framing layer
+// (serve::batch_reader, shared with serve::gateway) so CRLF clients frame
+// identically. serve_stream() loops batches until EOF, flushing after each,
+// which is the stdin/stdout daemon mode of tools/meek_serve. In *framed*
+// mode — the socket transport's wire format, and `meek_serve --framed` —
+// each batch's rows are followed by one blank line, mirroring the request
+// framing, so a client can detect end-of-batch without counting rows.
 //
 // One engine evaluates every batch, from evaluate() and serve_batch()
 // alike: each line is parsed, resolved and admitted the moment it is read,
@@ -38,9 +38,10 @@
 // {"error":"overloaded","retry_after_ms":N} row (never dropped, regardless
 // of its repeats). Admitted lines are retired at the end of their batch, so
 // in-batch shedding is a function of the input alone. Lines past the
-// per-batch buffering caps (batch_limits) shed the same way. An SLO spec in
-// `slo_feedback` closes the loop: the request-latency burn rate tightens
-// admission while violated and loosens it on recovery.
+// per-batch caps (batch_limits; sticky, so they form the batch's tail) shed
+// the same way. An SLO spec in `slo_feedback` closes the loop: the
+// request-latency burn rate tightens admission while violated and loosens it
+// on recovery.
 #pragma once
 
 #include <atomic>
@@ -128,10 +129,8 @@ public:
     obs::metrics_snapshot stats_snapshot() const;
 
 private:
-    // The next request slot of a batch: a line to evaluate, a line the batch
-    // caps dropped (it settles as an "overloaded" row), or the batch's end.
-    // A returned line stays valid until the next call.
-    enum class slot_kind { line, overflow, end };
+    // Yields a batch's slots (see slot_kind); a returned line stays valid
+    // until the next call.
     using line_source = std::function<slot_kind(std::string_view* line)>;
 
     // The one batch engine (see the header comment). `emit` receives every

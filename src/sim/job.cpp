@@ -108,8 +108,9 @@ double cost_hint(const run_spec& spec) {
     const double base = static_cast<double>(spec.instructions);
     if (spec.sc.system != system_kind::meek) return base;
     const soc_config cfg = spec.soc_override ? *spec.soc_override : spec.sc.soc();
-    // A MEEK job also steps the fabric and every checker core.
-    return base * (1.5 + 0.25 * cfg.num_little_cores);
+    return base * meek_cost_factor(cfg.num_little_cores);
 }
+
+double meek_cost_factor(u32 little_cores) { return 1.5 + 0.25 * little_cores; }
 
 }  // namespace meek::sim

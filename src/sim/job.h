@@ -75,4 +75,8 @@ u64 run_spec_fingerprint(const run_spec& spec);
 // results.
 double cost_hint(const run_spec& spec);
 
+// cost_hint's per-instruction multiplier for a MEEK SoC with `little_cores`
+// checkers: a MEEK job also steps the fabric and every checker core.
+double meek_cost_factor(u32 little_cores);
+
 }  // namespace meek::sim

@@ -954,12 +954,14 @@ TEST(serve_service, crlf_batches_frame_and_serve_identically_to_lf) {
     EXPECT_EQ(crlf_stats.requests, 2u);
     EXPECT_EQ(crlf_stats.errors, 0u) << "no '\\r' may reach the JSON parser";
 
-    // And the framing layer itself: read_batch_lines hands the parser
-    // CR-free lines.
+    // And the framing layer itself: batch_reader hands the parser CR-free
+    // lines, and the CRLF blank line still terminates the batch.
     std::istringstream raw("{\"a\":1}\r\n\r\n");
-    const std::vector<std::string> lines = serve::read_batch_lines(raw);
-    ASSERT_EQ(lines.size(), 1u);
-    EXPECT_EQ(lines[0], "{\"a\":1}");
+    serve::batch_reader reader(raw, {});
+    std::string_view line;
+    ASSERT_EQ(reader.next(&line), serve::slot_kind::line);
+    EXPECT_EQ(line, "{\"a\":1}");
+    EXPECT_EQ(reader.next(&line), serve::slot_kind::end);
 }
 
 TEST(serve_service, framed_batches_end_with_one_blank_line) {
@@ -1560,10 +1562,34 @@ private:
     std::string text_;
 };
 
-TEST(serve_service, read_batch_separates_eof_from_stream_error) {
+// One batch drained through serve::batch_reader: the admitted lines, the
+// overflow slots (sticky caps: always a tail), and the stream-error flag.
+struct drained_batch {
+    std::vector<std::string> lines;
+    u64 overflow = 0;
+    bool stream_error = false;
+};
+
+drained_batch drain_batch(std::istream& in, const serve::batch_limits& limits = {}) {
+    drained_batch out;
+    serve::batch_reader reader(in, limits);
+    std::string_view line;
+    for (serve::slot_kind kind; (kind = reader.next(&line)) != serve::slot_kind::end;) {
+        if (kind == serve::slot_kind::overflow) {
+            ++out.overflow;
+        } else {
+            EXPECT_EQ(out.overflow, 0u) << "an admitted line after an overflow slot";
+            out.lines.emplace_back(line);
+        }
+    }
+    out.stream_error = reader.stream_error();
+    return out;
+}
+
+TEST(serve_service, batch_reader_separates_eof_from_stream_error) {
     // Clean EOF: no stream_error.
     std::istringstream clean("{\"a\":1}\n{\"b\":2}\n");
-    const serve::batch_read ok = serve::read_batch(clean);
+    const drained_batch ok = drain_batch(clean);
     EXPECT_EQ(ok.lines.size(), 2u);
     EXPECT_FALSE(ok.stream_error);
 
@@ -1571,7 +1597,7 @@ TEST(serve_service, read_batch_separates_eof_from_stream_error) {
     // surfaced instead of masquerading as a polite hang-up.
     dying_streambuf buf("{\"a\":1}\n{\"b\":2}\n");
     std::istream dying(&buf);
-    const serve::batch_read bad = serve::read_batch(dying);
+    const drained_batch bad = drain_batch(dying);
     EXPECT_EQ(bad.lines.size(), 2u);
     EXPECT_TRUE(bad.stream_error);
 
@@ -1595,20 +1621,31 @@ TEST(serve_service, batch_caps_turn_overflow_lines_into_overloaded_rows) {
     // Protocol level: lines past the cap are drained (framing intact) but
     // their content is dropped.
     std::istringstream in("{\"a\":1}\n{\"b\":2}\n{\"c\":3}\n\n{\"next\":1}\n");
-    const serve::batch_read r =
-        serve::read_batch(in, {.max_lines = 2, .max_bytes = 0});
+    const drained_batch r = drain_batch(in, {.max_lines = 2, .max_bytes = 0});
     EXPECT_EQ(r.lines.size(), 2u);
-    EXPECT_EQ(r.overflow_lines, 1u);
-    const serve::batch_read next = serve::read_batch(in);
+    EXPECT_EQ(r.overflow, 1u);
+    const drained_batch next = drain_batch(in);
     ASSERT_EQ(next.lines.size(), 1u) << "overflow must not desync framing";
     EXPECT_EQ(next.lines[0], "{\"next\":1}");
 
     // Byte cap too.
     std::istringstream in2("{\"aaaaaaaaaaaaaaaa\":1}\n{\"b\":2}\n");
-    const serve::batch_read r2 =
-        serve::read_batch(in2, {.max_lines = 0, .max_bytes = 24});
+    const drained_batch r2 = drain_batch(in2, {.max_lines = 0, .max_bytes = 24});
     EXPECT_EQ(r2.lines.size(), 1u);
-    EXPECT_EQ(r2.overflow_lines, 1u);
+    EXPECT_EQ(r2.overflow, 1u);
+
+    // The byte cap is sticky: a short line after an over-cap one overflows
+    // too, though it alone would fit, so overflow stays a contiguous tail.
+    // The next batch starts with a fresh budget.
+    std::istringstream in3(
+        "{\"a\":1}\n{\"bbbbbbbbbbbbbbbbbbbbbbbbbbbbbb\":2}\n{\"c\":3}\n\n{\"d\":4}\n");
+    const drained_batch r3 = drain_batch(in3, {.max_lines = 0, .max_bytes = 24});
+    ASSERT_EQ(r3.lines.size(), 1u);
+    EXPECT_EQ(r3.lines[0], "{\"a\":1}");
+    EXPECT_EQ(r3.overflow, 2u) << "the short third line must overflow too";
+    const drained_batch next3 = drain_batch(in3, {.max_lines = 0, .max_bytes = 24});
+    ASSERT_EQ(next3.lines.size(), 1u) << "overflow must not desync framing";
+    EXPECT_EQ(next3.lines[0], "{\"d\":4}");
 
     // Service level: each overflow slot settles with an in-slot overloaded
     // row, so no accepted line is silently dropped.

@@ -359,7 +359,10 @@ void run_scripted_worker(serve::listener* lis, int emit_rows, int delay_ms,
                          bool send_terminator) {
     std::unique_ptr<serve::fd_stream> conn = lis->accept();
     if (!conn) return;
-    const std::vector<std::string> lines = serve::read_batch_lines(*conn);
+    serve::batch_reader reader(*conn, {});
+    std::vector<std::string> lines;
+    std::string_view line;
+    while (reader.next(&line) == serve::slot_kind::line) lines.emplace_back(line);
     if (delay_ms > 0) {
         std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
     }
@@ -931,17 +934,13 @@ TEST(gateway, streaming_merge_with_shed_rows_matches_buffered) {
         EXPECT_EQ(row->request_index, k - 1);
     }
 
+    opts.streaming = true;
     serve::gateway streaming(opts);
     ASSERT_TRUE(streaming.ok());
-    serve::gateway_stats sstats;
-    std::vector<std::string> streamed;
-    streaming.evaluate_streamed(lines, &sstats,
-                                [&](std::vector<std::string>&& rows) {
-                                    for (std::string& r : rows) {
-                                        streamed.push_back(std::move(r));
-                                    }
-                                });
-    EXPECT_EQ(join_rows(streamed), join_rows(brows))
+    std::istringstream in(join_rows(lines));
+    std::ostringstream out;
+    const serve::gateway_stats sstats = streaming.serve_stream(in, out);
+    EXPECT_EQ(out.str(), join_rows(brows))
         << "streamed merge must reproduce the buffered bytes";
     EXPECT_EQ(sstats.shed, 2u);
     EXPECT_EQ(streaming.admission().queued_lines(), 0u)
@@ -970,6 +969,69 @@ TEST(gateway, streaming_serve_batch_is_byte_identical_to_buffered) {
     const std::string buffered = run(false);
     ASSERT_FALSE(buffered.empty());
     EXPECT_EQ(run(true), buffered);
+}
+
+TEST(gateway, batch_caps_match_the_single_process_service) {
+    // A short line after an over-cap line: both front ends read batches
+    // through the one serve::batch_reader, whose caps are sticky, so the
+    // short third line overflows as well and the gateway's bytes and counters
+    // equal the service's. The second batch starts with a fresh budget.
+    const std::string a =
+        R"({"id":"a","scenario":"vanilla","workload":"hmmer","instructions":6000,"seed":3})";
+    const std::string big =
+        R"({"id":"big-request-with-a-long-client-tag-that-crosses-the-byte-cap",)"
+        R"("scenario":"vanilla","workload":"hmmer","instructions":6000,"seed":4})";
+    const std::string c =
+        R"({"id":"c","scenario":"vanilla","workload":"hmmer","instructions":6000,"seed":5})";
+    const std::string input = a + "\n" + big + "\n" + c + "\n\n" + c + "\n";
+    const serve::batch_limits caps{.max_lines = 0, .max_bytes = a.size() + c.size()};
+
+    for (const bool streaming : {false, true}) {
+        SCOPED_TRACE(streaming ? "streaming" : "buffered");
+        serve::service_options sopts;
+        sopts.threads = 2;
+        sopts.limits = caps;
+        sopts.streaming = streaming;
+        serve::service svc(sopts);
+        std::istringstream svc_in(input);
+        std::ostringstream svc_out;
+        const serve::batch_stats sstats = svc.serve_stream(svc_in, svc_out);
+
+        serve::gateway_options opts;
+        opts.workers = 2;
+        opts.worker_argv = {MEEK_SERVE_BIN, "--framed", "--quiet"};
+        opts.limits = caps;
+        opts.streaming = streaming;
+        serve::gateway gw(opts);
+        ASSERT_TRUE(gw.ok());
+        std::istringstream gw_in(input);
+        std::ostringstream gw_out;
+        const serve::gateway_stats gstats = gw.serve_stream(gw_in, gw_out);
+
+        EXPECT_EQ(gw_out.str(), svc_out.str());
+        EXPECT_EQ(gstats.requests, sstats.requests);
+        EXPECT_EQ(gstats.rows, sstats.rows);
+        EXPECT_EQ(gstats.errors, sstats.errors);
+        EXPECT_EQ(gstats.shed, sstats.shed);
+
+        // Rows: a, overloaded, overloaded (sticky), then c as batch 2's row 0.
+        std::vector<serve::response_row> rows;
+        std::istringstream rows_in(svc_out.str());
+        for (std::string line; std::getline(rows_in, line);) {
+            const auto row = serve::parse_response(line);
+            ASSERT_TRUE(row.has_value()) << line;
+            rows.push_back(*row);
+        }
+        ASSERT_EQ(rows.size(), 4u);
+        EXPECT_TRUE(rows[0].error.empty());
+        EXPECT_EQ(rows[1].error, "overloaded");
+        EXPECT_EQ(rows[2].error, "overloaded");
+        EXPECT_EQ(rows[2].request_index, 2u);
+        EXPECT_TRUE(rows[3].error.empty());
+        EXPECT_EQ(rows[3].id, "c");
+        EXPECT_EQ(sstats.requests, 4u);
+        EXPECT_EQ(sstats.shed, 2u);
+    }
 }
 
 }  // namespace

@@ -46,16 +46,17 @@
 //   --quiet                suppress the stderr session summary
 //
 // Streaming and admission control (mirror meek_serve):
-//   --stream               emit each request's merged rows as soon as it
-//                          settles instead of buffering the whole batch; the
-//                          byte stream is identical either way
+//   --stream               flush each request's merged rows as soon as it
+//                          settles instead of once per batch; the byte
+//                          stream is identical either way
 //   --admission            enable admission control with default limits
 //   --max-queue-lines N    shed lines past N queued in the current batch
 //   --max-queue-bytes N    shed lines past N bytes buffered
 //   --line-rate N          token-bucket cap on admitted lines per second
 //   --retry-after-ms N     retry_after_ms base for shed rows (default 100)
-//   --batch-max-lines N    hard cap on buffered lines per batch
-//   --batch-max-bytes N    hard cap on buffered bytes per batch
+//   --batch-max-lines N    per-batch caps, as in meek_serve: once a line
+//   --batch-max-bytes N    crosses either, it and the rest of the batch
+//                          become in-slot overloaded rows (0 = unlimited)
 //   Each --max-*/--line-rate flag implies --admission. With both --slo and
 //   --admission, the worker round-trip burn rate against the SLO spec
 //   tightens/recovers admission scale after every batch.
