@@ -9,9 +9,9 @@
 // `metrics_snapshot`, a sorted plain-data bag that other layers *contribute*
 // to (set_counter / add_histogram) without owning a registry. That is how
 // the pre-existing stat structs — sched::pool_stats, serve::batch_stats,
-// gateway_stats, cache stats, serve_connections_stats — are re-plumbed into
-// one export without changing their APIs: each layer keeps its struct and
-// adds one contribute step at snapshot time.
+// cache stats, serve_connections_stats — are re-plumbed into one export
+// without changing their APIs: each layer keeps its struct and adds one
+// contribute step at snapshot time.
 //
 // Naming convention: dotted lowercase paths, unit suffix on histograms and
 // unit-carrying gauges ("service.parse_ns", "pool.queue_wait_ns",

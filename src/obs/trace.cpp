@@ -41,8 +41,8 @@ std::string us_fixed(u64 ns) {
     return buf;
 }
 
-// Retired spans (flushed from exited threads) are bounded too: a gateway that
-// spawns fan-out threads every batch must not grow without limit when nobody
+// Retired spans (flushed from exited threads) are bounded too: a long-lived
+// process whose threads come and go must not grow without limit when nobody
 // drains.
 constexpr std::size_t k_retired_capacity = 262144;
 

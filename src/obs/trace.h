@@ -1,13 +1,13 @@
-// Request-scoped tracing: per-request span trees across gateway → service →
-// executor, recorded into per-thread ring buffers and exported as Chrome
-// trace-event (catapult) JSON that Perfetto loads directly.
+// Request-scoped tracing: per-request span trees across service → executor,
+// recorded into per-thread ring buffers and exported as Chrome trace-event
+// (catapult) JSON that Perfetto loads directly.
 //
 // Context model: a `trace_context` is (trace_id, span_id). The trace id names
-// one request line's timeline end to end (minted at the outermost entry —
-// gateway or service — or adopted from the wire's optional "trace" request
-// field); the span id is the parent under which the holder should open child
-// spans. A zero trace id means "no tracing": every span constructor
-// degenerates to a no-op, so untraced hot paths pay one relaxed atomic load.
+// one request line's timeline end to end (minted by the service, or adopted
+// from the wire's optional "trace" request field); the span id is the parent
+// under which the holder should open child spans. A zero trace id means "no
+// tracing": every span constructor degenerates to a no-op, so untraced hot
+// paths pay one relaxed atomic load.
 //
 // Determinism: trace ids are minted as a pure function of (batch sequence,
 // line index), and span ids as a pure function of (trace, parent, name, seq)
@@ -22,8 +22,8 @@
 // process-wide tracer. record() is lock-free (one release store past the
 // slot write); a full ring drops the new span and counts it — never blocks,
 // never crashes. Rings of exited threads are flushed into a bounded retired
-// store so short-lived fan-out threads (the gateway's per-batch workers)
-// cannot lose spans. drain() — the cold path — consumes everything.
+// store so short-lived threads cannot lose spans. drain() — the cold path —
+// consumes everything.
 #pragma once
 
 #include <atomic>
@@ -219,10 +219,10 @@ bool parse_chrome_trace_json(std::string_view text, std::vector<span_record>* ou
 
 // Nesting invariants over a span set: begin <= end; span ids unique per
 // trace; every nonzero parent resolves within its trace (unless
-// `allow_external_parents` — a child process's journal references parent
-// spans recorded in the gateway's); a child's interval lies inside its
-// parent's; parent chains are acyclic. Returns "" when all hold, else a
-// description of the first violation.
+// `allow_external_parents` — requests that carried a client's "trace"
+// context reference parent spans recorded in the client's process); a
+// child's interval lies inside its parent's; parent chains are acyclic.
+// Returns "" when all hold, else a description of the first violation.
 std::string validate_span_nesting(const std::vector<span_record>& spans,
                                   bool allow_external_parents = false);
 

@@ -1,12 +1,11 @@
 // Deterministic cost-aware placement: map a batch of cost-hinted items onto
-// a fixed number of bins (pool workers, gateway workers, search shards) so no
-// bin ends up owning a disproportionate share of the estimated work.
+// a fixed number of bins (pool workers, search shards) so no bin ends up
+// owning a disproportionate share of the estimated work.
 //
 // The assignment is a pure function of (costs, bins) — never of thread
 // timing, worker health, or anything else that varies run to run — which is
-// what lets three very different layers share it:
+// what lets two very different layers share it:
 //   * sched::pool / sim::executor pick each job's home deque with it,
-//   * serve::gateway shards request lines across worker processes with it,
 //   * search's shard split replaces "position mod N" with it.
 // Wherever the downstream contract is "output is byte-identical at any
 // worker count", that holds because result ordering is keyed by submission

@@ -1,7 +1,7 @@
 // The unified work-stealing worker pool under every parallel layer of the
 // harness: sim::executor fans simulation jobs through it, and its placement
-// helper (sched/placement.h) shards gateway batches and search slices with
-// the same cost-balancing rule.
+// helper (sched/placement.h) splits search slices with the same
+// cost-balancing rule.
 //
 // Scheduling model:
 //   * every worker owns one deque (sched/deque.h); a posted task names its

@@ -2,15 +2,14 @@
 // hook that drives `meek_search --shard k/n` workers from one front-end.
 //
 // Each shard worker is a child process spawned over the serve layer's process
-// transport (the same endpoint machinery the gateway uses for meek_serve
-// workers); it evaluates its slice of the candidate list — the slices come
-// from the driver's cost-balanced split (sched::balanced_assignment over
-// per-point cost estimates, identical in every worker), not a blind
-// "position mod N" — and persists per-point checkpoints into the shared
-// checkpoint directory. The dispatcher waits for every worker, then the
-// caller merges by running the search once more in resume mode — with all
-// checkpoints present that run simulates nothing and emits the frontier
-// byte-identical to an unsharded run.
+// transport (serve::child_process); it evaluates its slice of the candidate
+// list — the slices come from the driver's cost-balanced split
+// (sched::balanced_assignment over per-point cost estimates, identical in
+// every worker), not a blind "position mod N" — and persists per-point
+// checkpoints into the shared checkpoint directory. The dispatcher waits for
+// every worker, then the caller merges by running the search once more in
+// resume mode — with all checkpoints present that run simulates nothing and
+// emits the frontier byte-identical to an unsharded run.
 #pragma once
 
 #include <string>

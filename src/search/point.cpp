@@ -1,5 +1,6 @@
 #include "search/point.h"
 
+#include <cstdlib>
 #include <unordered_set>
 
 namespace meek::search {
@@ -26,6 +27,64 @@ std::size_t parameter_grid::combinations() const {
     return dim(little_cores.size()) * dim(fabrics.size()) * dim(tunings.size()) *
            dim(lsl_bytes.size()) * dim(dc_buffer_depths.size()) *
            dim(div_unrolls.size()) * dim(checker_freq_mhz.size());
+}
+
+bool parse_grid_axis(parameter_grid& grid, std::string_view spec, std::string* error) {
+    auto fail = [error](std::string why) {
+        if (error) *error = std::move(why);
+        return false;
+    };
+    const std::size_t eq = spec.find('=');
+    if (eq == std::string_view::npos) return fail("expected key=v1,v2,...");
+    const std::string_view key = spec.substr(0, eq);
+    const std::string_view values = spec.substr(eq + 1);
+    // "--grid fabric=" must not be a no-op
+    if (values.empty()) return fail("no values for '" + std::string(key) + "'");
+
+    std::size_t pos = 0;
+    while (pos < values.size()) {
+        std::size_t comma = values.find(',', pos);
+        if (comma == std::string_view::npos) comma = values.size();
+        const std::string v(values.substr(pos, comma - pos));
+        pos = comma + 1;
+        if (key == "fabric") {
+            if (v == "f2") {
+                grid.fabrics.push_back(fabric_kind::f2);
+            } else if (v == "axi") {
+                grid.fabrics.push_back(fabric_kind::axi_interconnect);
+            } else {
+                return fail("unknown fabric '" + v + "' (f2|axi)");
+            }
+        } else if (key == "tuning") {
+            if (v == "opt") {
+                grid.tunings.push_back(little_core_tuning::optimized);
+            } else if (v == "def") {
+                grid.tunings.push_back(little_core_tuning::default_rocket);
+            } else {
+                return fail("unknown tuning '" + v + "' (opt|def)");
+            }
+        } else {
+            const u64 n = std::strtoull(v.c_str(), nullptr, 10);
+            if (key == "cores") {
+                if (std::string why = sim::little_cores_error(n); !why.empty()) {
+                    return fail(std::move(why));
+                }
+                grid.little_cores.push_back(static_cast<u32>(n));
+            } else if (key == "lsl") {
+                grid.lsl_bytes.push_back(static_cast<u32>(n));
+            } else if (key == "depth") {
+                grid.dc_buffer_depths.push_back(static_cast<u32>(n));
+            } else if (key == "unroll") {
+                grid.div_unrolls.push_back(static_cast<u32>(n));
+            } else if (key == "freq") {
+                grid.checker_freq_mhz.push_back(n);
+            } else {
+                return fail("unknown key '" + std::string(key) +
+                            "' (cores, fabric, tuning, lsl, depth, unroll, freq)");
+            }
+        }
+    }
+    return true;
 }
 
 parameter_grid default_grid() {

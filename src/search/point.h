@@ -15,6 +15,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/config.h"
@@ -50,6 +51,14 @@ struct parameter_grid {
     // Cross-product size (empty axes count as 1); 0 when empty().
     std::size_t combinations() const;
 };
+
+// Parse one `key=v1,v2,...` sweep axis and append its values to `grid`.
+// Keys: cores, fabric (f2|axi), tuning (opt|def), lsl, depth, unroll, freq.
+// Returns false and sets `error` on an unknown key, an empty or unknown value,
+// or a core count outside sim::little_cores_error's bound — an out-of-range
+// count must never reach the simulator.
+bool parse_grid_axis(parameter_grid& grid, std::string_view spec,
+                     std::string* error = nullptr);
 
 // The default off-registry sweep around the Table II operating point:
 // cores {2,4,6} x LSL {2,4,8} KB x DC-Buffer depth {8,16} x checker clock

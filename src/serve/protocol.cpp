@@ -2,7 +2,6 @@
 
 #include <istream>
 
-#include "deu/packet.h"
 #include "serve/json.h"
 #include "sim/executor.h"
 #include "workloads/profile.h"
@@ -51,9 +50,9 @@ namespace {
 
 constexpr int k_ipc_decimals = 6;
 
-// One request fans out into `repeats` jobs (and, on a gateway worker
-// failure, `repeats` synthesized error-row slots) — bound it so a single
-// line cannot demand an absurd allocation before any simulation starts.
+// One request fans out into `repeats` jobs and as many row slots — bound it
+// so a single line cannot demand an absurd allocation before any simulation
+// starts.
 constexpr u64 k_max_repeats = 1'000'000;
 
 bool field_is_string(const json_value& v) { return v.is_string(); }
@@ -234,9 +233,8 @@ std::string resolve_request(const run_request& req, u64 repeat, sim::run_spec* o
         fabric_kind fabric = fabric_kind::f2;
         little_core_tuning tuning = little_core_tuning::optimized;
         if (req.cores) {
-            if (*req.cores == 0 || *req.cores > k_max_little_cores) {
-                return "cores out of range (1.." + std::to_string(k_max_little_cores) +
-                       ")";
+            if (std::string error = sim::little_cores_error(*req.cores); !error.empty()) {
+                return error;
             }
             cores = static_cast<u32>(*req.cores);
         }
@@ -336,7 +334,7 @@ std::optional<response_row> parse_response(std::string_view line, std::string* e
     if ((v = doc->get("trace_id"))) row.trace_id = v->as_u64();
     if (doc->get("stats") != nullptr) {
         // A stats row passes through whole: re-serializing it would need the
-        // full stats schema, and the gateway only rewrites its index anyway.
+        // full stats schema, and a client only needs its slot anyway.
         row.raw = std::string(line);
         return row;
     }

@@ -22,7 +22,7 @@
 //                      (both unsigned; trace_id nonzero). A service that
 //                      receives one continues the caller's trace instead of
 //                      minting its own; absent => old behavior, byte for
-//                      byte. The gateway injects this into forwarded lines.
+//                      byte. A client that traces its own calls sends it.
 //
 // Unknown fields are an error: a typo must not silently evaluate defaults.
 //
@@ -80,9 +80,9 @@ struct batch_limits {
 // batch's end.
 enum class slot_kind { line, overflow, end };
 
-// The one batch reader, shared by serve::service and serve::gateway: reads
-// one batch off `in` slot by slot — skipping leading blank lines, stripping
-// CRs, enforcing `limits` — so both front ends frame and cap identically.
+// The one batch reader serve::service frames every stream with: reads one
+// batch off `in` slot by slot — skipping leading blank lines, stripping CRs,
+// enforcing `limits` — so stdio and socket clients frame and cap identically.
 // Construct one per batch.
 class batch_reader {
 public:
@@ -172,7 +172,7 @@ struct response_row {
     sim::run_outcome outcome;
     // Pre-serialized row (stats rows): when nonempty, to_json() emits it
     // verbatim — it must start with the "request" field like every row, so
-    // the gateway's index rewrite applies unchanged.
+    // a client reads its slot the same way.
     std::string raw;
 };
 

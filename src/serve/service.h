@@ -10,12 +10,12 @@
 //
 // Batch framing on a stream: one request per line; a blank line (or EOF)
 // ends the batch, and a trailing '\r' is stripped by the framing layer
-// (serve::batch_reader, shared with serve::gateway) so CRLF clients frame
-// identically. serve_stream() loops batches until EOF, flushing after each,
-// which is the stdin/stdout daemon mode of tools/meek_serve. In *framed*
-// mode — the socket transport's wire format, and `meek_serve --framed` —
-// each batch's rows are followed by one blank line, mirroring the request
-// framing, so a client can detect end-of-batch without counting rows.
+// (serve::batch_reader) so CRLF clients frame identically. serve_stream()
+// loops batches until EOF, flushing after each, which is the stdin/stdout
+// daemon mode of tools/meek_serve. In *framed* mode — the socket transport's
+// wire format — each batch's rows are followed by one blank line, mirroring
+// the request framing, so a client can detect end-of-batch without counting
+// rows.
 //
 // One engine evaluates every batch, from evaluate() and serve_batch()
 // alike: each line is parsed, resolved and admitted the moment it is read,

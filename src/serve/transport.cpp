@@ -482,24 +482,6 @@ int child_process::wait() {
     return status_;
 }
 
-bool child_process::poll_exited() {
-    if (reaped_) return true;
-    int status = 0;
-    const int rc = ::waitpid(pid_, &status, WNOHANG);
-    if (rc == 0) return false;  // still running
-    reaped_ = true;
-    if (rc < 0) {
-        status_ = -1;
-    } else if (WIFEXITED(status)) {
-        status_ = WEXITSTATUS(status);
-    } else if (WIFSIGNALED(status)) {
-        status_ = -WTERMSIG(status);
-    } else {
-        status_ = -1;
-    }
-    return true;
-}
-
 void child_process::kill() {
     if (pid_ >= 0 && !reaped_) ::kill(pid_, SIGKILL);
 }
@@ -528,7 +510,7 @@ serve_connections_stats serve_connections(service& svc, listener& lis,
     std::vector<std::thread> handlers;
     handlers.reserve(pool);
     for (std::size_t t = 0; t < pool; ++t) {
-        handlers.emplace_back([&svc, &st, &opts, max] {
+        handlers.emplace_back([&svc, &st, max] {
             for (;;) {
                 std::unique_ptr<fd_stream> client;
                 {
@@ -539,7 +521,12 @@ serve_connections_stats serve_connections(service& svc, listener& lis,
                     st.queue.pop_front();
                     ++st.active;
                 }
-                const batch_stats s = svc.serve_stream(*client, *client, opts.framed);
+                // Separate stream states over the one socket buffer: a client
+                // that half-closes without a blank terminator leaves the read
+                // side at EOF, which must not also fail the last batch's rows.
+                std::istream in(client->rdbuf());
+                std::ostream out(client->rdbuf());
+                const batch_stats s = svc.serve_stream(in, out, /*framed=*/true);
                 client.reset();  // flush + close before releasing the slot
                 {
                     std::lock_guard<std::mutex> lock(st.mutex);

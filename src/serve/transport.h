@@ -12,8 +12,8 @@
 //                      `fd_stream` per client connection;
 //   * `connect_endpoint` — the client side of the same two address families;
 //   * `child_process`    — a worker subprocess with its stdin/stdout wired to
-//                      an `fd_stream`, the process-pool transport used by the
-//                      gateway and by sharded search dispatch;
+//                      an `fd_stream`, the process transport of sharded
+//                      search dispatch (`meek_search --workers`);
 //   * `serve_connections` — the accept loop that turns a serve::service into
 //                      a network daemon (`meek_serve --listen`).
 //
@@ -21,11 +21,11 @@
 //   "tcp:HOST:PORT"  (or plain "HOST:PORT"; port 0 binds an ephemeral port)
 //   "unix:PATH"      (Unix-domain stream socket)
 //
-// Over sockets (and over `--framed` stdio) response batches are *framed*: the
-// rows of one batch are followed by a single blank line, mirroring the
-// request framing, so a client can detect end-of-batch without counting rows
-// and a truncated stream (worker death) is distinguishable from a complete
-// one. Plain stdio stays unframed for diffable golden output.
+// Over sockets response batches are always *framed*: the rows of one batch
+// are followed by a single blank line, mirroring the request framing, so a
+// client can detect end-of-batch without counting rows and a truncated
+// stream (a dead daemon) is distinguishable from a complete one. Stdio stays
+// unframed for diffable golden output.
 //
 // POSIX-only by design; the first stream construction ignores SIGPIPE
 // process-wide so a dead peer surfaces as a stream error, not a signal.
@@ -153,12 +153,6 @@ public:
     // to call once; subsequent calls return the cached status.
     int wait();
 
-    // Non-blocking exit probe (waitpid WNOHANG): true once the child is gone,
-    // reaping it as a side effect. The gateway runs this between batches so a
-    // worker that crashed after a clean batch is respawned up front instead
-    // of being discovered by the next batch's failed write.
-    bool poll_exited();
-
     void kill();  // SIGKILL, for tests and shutdown paths
 
 private:
@@ -174,7 +168,6 @@ private:
 
 struct serve_connections_options {
     u64 max_connections = 0;  // 0 => until close()/accept failure
-    bool framed = true;       // socket clients get framed batches
     // Connections served simultaneously (floored at 1): a small fixed accept
     // pool. The listener stops accepting while `accept_threads` connections
     // are open, so the pool size is also the concurrent-client cap.

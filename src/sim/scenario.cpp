@@ -2,6 +2,8 @@
 
 #include <vector>
 
+#include "deu/packet.h"
+
 namespace meek::sim {
 
 const char* system_kind_name(system_kind k) {
@@ -57,6 +59,11 @@ scenario meek_scenario(u32 little_cores, fabric_kind fabric,
              (tuning == little_core_tuning::optimized ? "opt" : "def") + "/" +
              std::to_string(little_cores);
     return s;
+}
+
+std::string little_cores_error(u64 little_cores) {
+    if (little_cores >= 1 && little_cores <= k_max_little_cores) return {};
+    return "cores out of range (1.." + std::to_string(k_max_little_cores) + ")";
 }
 
 std::span<const scenario> all_scenarios() {

@@ -48,6 +48,11 @@ scenario nzdc_scenario();
 scenario meek_scenario(u32 little_cores, fabric_kind fabric = fabric_kind::f2,
                        little_core_tuning tuning = little_core_tuning::optimized);
 
+// The one bound on a MEEK little-core count, for every boundary that accepts
+// one (wire requests, search grids): "" when 1..k_max_little_cores (one
+// status-multicast mask bit per checker), else the error to report.
+std::string little_cores_error(u64 little_cores);
+
 // The full registry: vanilla, ea-lockstep, nzdc, and MEEK over
 // cores {2,4,6} x fabric {f2,axi} x tuning {opt,def}.
 std::span<const scenario> all_scenarios();

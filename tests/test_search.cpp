@@ -162,6 +162,38 @@ TEST(point, empty_grid_has_no_combinations) {
     EXPECT_EQ(search::default_grid().combinations(), 3u * 3u * 2u * 2u);
 }
 
+TEST(point, grid_axes_parse_and_core_counts_are_bounded_by_the_mask) {
+    // 0 and 17 checkers are rejected at parse time with the protocol's error.
+    std::string error;
+    for (const char* bad : {"cores=0", "cores=17", "cores=4,17"}) {
+        SCOPED_TRACE(bad);
+        search::parameter_grid grid;
+        error.clear();
+        EXPECT_FALSE(search::parse_grid_axis(grid, bad, &error));
+        EXPECT_EQ(error, "cores out of range (1..16)");
+    }
+
+    // 16 — one destination-mask bit per checker — is the largest legal count.
+    search::parameter_grid grid;
+    ASSERT_TRUE(search::parse_grid_axis(grid, "fabric=f2,axi", &error)) << error;
+    ASSERT_TRUE(search::parse_grid_axis(grid, "lsl=2048", &error)) << error;
+    ASSERT_TRUE(search::parse_grid_axis(grid, "cores=16", &error)) << error;
+    EXPECT_EQ(grid.fabrics.size(), 2u);
+    EXPECT_EQ(grid.lsl_bytes, std::vector<u32>{2048});
+    EXPECT_EQ(grid.little_cores, std::vector<u32>{16});
+    const auto points = search::enumerate_points(grid, /*include_registry=*/false);
+    ASSERT_EQ(points.size(), 2u);
+    EXPECT_EQ(points[0].name, "grid/f2/opt/16c/lsl2048/d16/u8/f2000");
+    EXPECT_EQ(points[0].soc.num_little_cores, 16u);
+
+    for (const char* bad : {"fabric=", "fabric=pcie", "tuning=fast", "speed=3", "cores"}) {
+        SCOPED_TRACE(bad);
+        error.clear();
+        EXPECT_FALSE(search::parse_grid_axis(grid, bad, &error));
+        EXPECT_FALSE(error.empty());
+    }
+}
+
 // ---------------------------------------------------------------- driver ---
 
 search::search_options quick_opts() {

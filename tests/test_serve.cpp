@@ -779,11 +779,12 @@ TEST(serve_service, error_rows_keep_their_slot_and_good_requests_still_run) {
         R"(}{ not json)",
         R"({"scenario":"vanilla","workload":"doom"})",
         R"({"id":"ok2","scenario":"meek/f2/opt/2","workload":"hmmer","instructions":6000})",
+        "",  // evaluate() does no framing: a blank element is a request slot
     };
     serve::service svc({.threads = 2});
     serve::batch_stats stats;
     const std::vector<serve::response_row> rows = svc.evaluate(lines, &stats);
-    ASSERT_EQ(rows.size(), 4u);
+    ASSERT_EQ(rows.size(), 5u);
     EXPECT_TRUE(rows[0].error.empty());
     EXPECT_EQ(rows[0].outcome.scenario, "vanilla");
     EXPECT_EQ(rows[1].request_index, 1u);
@@ -792,9 +793,11 @@ TEST(serve_service, error_rows_keep_their_slot_and_good_requests_still_run) {
     EXPECT_TRUE(rows[3].error.empty());
     EXPECT_EQ(rows[3].id, "ok2");
     EXPECT_GT(rows[3].outcome.cycles, 0u);
-    EXPECT_EQ(stats.requests, 4u);
-    EXPECT_EQ(stats.rows, 4u);
-    EXPECT_EQ(stats.errors, 2u);
+    EXPECT_EQ(rows[4].request_index, 4u);
+    EXPECT_FALSE(rows[4].error.empty());
+    EXPECT_EQ(stats.requests, 5u);
+    EXPECT_EQ(stats.rows, 5u);
+    EXPECT_EQ(stats.errors, 3u);
     EXPECT_EQ(stats.jobs, 2u);
 }
 

@@ -65,61 +65,6 @@ int usage(const char* argv0) {
     return 2;
 }
 
-std::vector<std::string> split_csv(const std::string& csv) {
-    std::vector<std::string> values;
-    std::size_t pos = 0;
-    while (pos < csv.size()) {
-        std::size_t comma = csv.find(',', pos);
-        if (comma == std::string::npos) comma = csv.size();
-        values.push_back(csv.substr(pos, comma - pos));
-        pos = comma + 1;
-    }
-    return values;
-}
-
-bool apply_grid_axis(search::parameter_grid& grid, const std::string& spec) {
-    const std::size_t eq = spec.find('=');
-    if (eq == std::string::npos) return false;
-    const std::string key = spec.substr(0, eq);
-    const std::vector<std::string> values = split_csv(spec.substr(eq + 1));
-    if (values.empty()) return false;  // "--grid fabric=" must not be a no-op
-    for (const std::string& v : values) {
-        if (key == "fabric") {
-            if (v == "f2") {
-                grid.fabrics.push_back(fabric_kind::f2);
-            } else if (v == "axi") {
-                grid.fabrics.push_back(fabric_kind::axi_interconnect);
-            } else {
-                return false;
-            }
-        } else if (key == "tuning") {
-            if (v == "opt") {
-                grid.tunings.push_back(little_core_tuning::optimized);
-            } else if (v == "def") {
-                grid.tunings.push_back(little_core_tuning::default_rocket);
-            } else {
-                return false;
-            }
-        } else {
-            const u64 n = std::strtoull(v.c_str(), nullptr, 10);
-            if (key == "cores") {
-                grid.little_cores.push_back(static_cast<u32>(n));
-            } else if (key == "lsl") {
-                grid.lsl_bytes.push_back(static_cast<u32>(n));
-            } else if (key == "depth") {
-                grid.dc_buffer_depths.push_back(static_cast<u32>(n));
-            } else if (key == "unroll") {
-                grid.div_unrolls.push_back(static_cast<u32>(n));
-            } else if (key == "freq") {
-                grid.checker_freq_mhz.push_back(n);
-            } else {
-                return false;
-            }
-        }
-    }
-    return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -166,9 +111,10 @@ int main(int argc, char** argv) {
         } else if (arg == "--probe-seed") {
             opts.probe.seed = std::strtoull(next_value("--probe-seed"), nullptr, 10);
         } else if (arg == "--grid") {
-            if (!apply_grid_axis(grid, next_value("--grid"))) {
-                std::fprintf(stderr, "bad --grid axis (keys: cores, fabric, tuning, "
-                                     "lsl, depth, unroll, freq)\n");
+            const char* spec = next_value("--grid");
+            std::string error;
+            if (!search::parse_grid_axis(grid, spec, &error)) {
+                std::fprintf(stderr, "bad --grid axis '%s': %s\n", spec, error.c_str());
                 return 2;
             }
             grid_given = true;

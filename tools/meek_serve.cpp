@@ -16,8 +16,6 @@
 //   --cache-capacity N     workload cache entries (default 64; 0 disables)
 //   --outcome-capacity N   completed-result cache entries (default 256;
 //                          0 disables — every request simulates)
-//   --framed               stdio modes: terminate each batch's rows with a
-//                          blank line (what the gateway expects of a worker)
 //   --stream               flush rows as they settle instead of once per
 //                          batch: each row is written once its jobs and all
 //                          earlier rows are done (the same bytes; only
@@ -82,8 +80,8 @@ namespace {
 int usage(const char* argv0) {
     std::fprintf(stderr,
                  "usage: %s [--requests FILE | --listen ADDR] [--threads N] "
-                 "[--cache-capacity N] [--outcome-capacity N] [--framed] "
-                 "[--stream] [--admission] [--max-inflight N] "
+                 "[--cache-capacity N] [--outcome-capacity N] [--stream] "
+                 "[--admission] [--max-inflight N] "
                  "[--max-queue-lines N] [--max-queue-bytes N] [--line-rate R] "
                  "[--retry-after-ms N] [--batch-max-lines N] "
                  "[--batch-max-bytes N] [--max-connections N] "
@@ -105,7 +103,6 @@ int main(int argc, char** argv) {
     serve::service_options opts;
     u64 max_connections = 0;
     u32 accept_threads = 4;
-    bool framed = false;
     bool quiet = false;
 
     for (int i = 1; i < argc; ++i) {
@@ -127,8 +124,6 @@ int main(int argc, char** argv) {
             const unsigned long v =
                 std::strtoul(next_value("--accept-threads"), nullptr, 10);
             accept_threads = v > 0 ? static_cast<u32>(v) : 1;
-        } else if (arg == "--framed") {
-            framed = true;
         } else if (arg == "--stream") {
             opts.streaming = true;
         } else if (arg == "--admission") {
@@ -253,9 +248,9 @@ int main(int argc, char** argv) {
                          requests_file.c_str());
             return 1;
         }
-        stats = svc.serve_stream(in, std::cout, framed);
+        stats = svc.serve_stream(in, std::cout);
     } else {
-        stats = svc.serve_stream(std::cin, std::cout, framed);
+        stats = svc.serve_stream(std::cin, std::cout);
     }
 
     // SLO verdict first (it feeds the stats JSON): evaluated against the

@@ -7,8 +7,8 @@
 // invariants: begin <= end, span ids unique per trace, parents resolve within
 // their trace, child intervals inside parent intervals, acyclic parent
 // chains. `--allow-external-parents` relaxes the parent-resolution check for
-// journals whose parent spans live in another process (a worker's journal
-// references gateway spans); such spans are treated as roots.
+// journals whose parent spans live in another process (requests that carried
+// a client's "trace" context); such spans are treated as roots.
 //
 // Prints one summary line and exits 0 when the document is well-formed and
 // every invariant holds, 1 otherwise — the CI gate behind the trace exports.
