@@ -7,7 +7,12 @@
 namespace meek {
 
 ooo_core::ooo_core(const big_core_config& cfg, functional_memory& memory)
-    : cfg_(cfg), memory_(memory), hierarchy_(cfg), bpred_(cfg.bpred), fus_(cfg) {
+    : cfg_(cfg),
+      memory_(memory),
+      hierarchy_(cfg),
+      bpred_(cfg.bpred),
+      fus_(cfg),
+      stores_(cfg.stq_entries) {
     rob_.reset(cfg.rob_entries);
     iq_.reset(cfg.iq_entries);
     ldq_.reset(cfg.ldq_entries);
@@ -39,7 +44,7 @@ cycle_t ooo_core::fetch_one(addr_t pc, bool after_redirect) {
         ++candidate;
         fetched_this_cycle_ = 0;
     }
-    const addr_t line = pc / cfg_.l1i.line_bytes;
+    const addr_t line = hierarchy_.l1i().line_of(pc);
     if (line != last_fetch_line_ || after_redirect) {
         hierarchy_access access = hierarchy_.inst_access(pc, candidate);
         while (!access.accepted) {
@@ -172,28 +177,20 @@ run_result ooo_core::run(const run_limits& limits, commit_sink* sink) {
             // Load: try store-to-load forwarding, else the cache hierarchy.
             const addr_t lo = out.mem->addr;
             const addr_t hi = lo + out.mem->size;
-            bool forwarded = false;
-            for (auto it = store_buffer_.rbegin(); it != store_buffer_.rend(); ++it) {
-                const addr_t slo = it->addr;
-                const addr_t shi = it->addr + it->size;
-                if (hi <= slo || lo >= shi) continue;  // disjoint
-                if (lo >= slo && hi <= shi) {
-                    complete = std::max(issue, it->data_ready) + 1;
-                    forwarded = true;
+            if (const store_buffer::entry* st = stores_.youngest_overlap(lo, out.mem->size)) {
+                if (lo >= st->addr && hi <= st->addr + st->size) {
+                    complete = std::max(issue, st->data_ready) + 1;
                 } else {
                     // Partial overlap: wait for the store to drain, then read.
-                    cycle_t t = std::max(issue, it->commit_at + 1);
+                    cycle_t t = std::max(issue, st->commit_at + 1);
                     hierarchy_access access = hierarchy_.data_access(lo, false, t);
                     while (!access.accepted) {
                         ++t;
                         access = hierarchy_.data_access(lo, false, t);
                     }
                     complete = access.complete_at;
-                    forwarded = true;
                 }
-                break;
-            }
-            if (!forwarded) {
+            } else {
                 cycle_t t = issue;
                 hierarchy_access access = hierarchy_.data_access(lo, false, t);
                 while (!access.accepted) {
@@ -277,13 +274,9 @@ run_result ooo_core::run(const run_limits& limits, commit_sink* sink) {
         if (is_load) ldq_.commit_allocation(actual);
         if (is_store) {
             stq_.commit_allocation(actual + 1);
-            store_buffer_.push_back(
-                {out.mem->addr, out.mem->size, out.mem->store_data, complete, actual});
+            stores_.push({out.mem->addr, out.mem->size, complete, actual});
             // Store drains to the cache after commit; timing side effect only.
             hierarchy_.data_access(out.mem->addr, true, actual + 1);
-            if (store_buffer_.size() > cfg_.stq_entries) {
-                store_buffer_.erase(store_buffer_.begin());
-            }
         }
         if (writes_reg) {
             (ins.rd_is_fp() ? fp_prf_ : int_prf_).commit_allocation(actual);

@@ -13,6 +13,7 @@
 
 #include "bigcore/commit.h"
 #include "bigcore/fu_pool.h"
+#include "bigcore/store_buffer.h"
 #include "bpred/tage.h"
 #include "common/config.h"
 #include "isa/arch_state.h"
@@ -122,20 +123,12 @@ private:
         }
         void commit_allocation(cycle_t release_time) {
             times_[head_] = release_time;
-            head_ = (head_ + 1) % times_.size();
+            if (++head_ == times_.size()) head_ = 0;
         }
 
     private:
         std::vector<cycle_t> times_;
         std::size_t head_ = 0;
-    };
-
-    struct pending_store {
-        addr_t addr = 0;
-        u8 size = 0;
-        u64 data = 0;
-        cycle_t data_ready = 0;
-        cycle_t commit_at = 0;
     };
 
     cycle_t fetch_one(addr_t pc, bool after_redirect);
@@ -173,7 +166,7 @@ private:
     std::array<cycle_t, k_num_arch_regs> freg_ready_{};
     cycle_t csr_serial_ready_ = 0;  // CSR ops execute serially
 
-    std::vector<pending_store> store_buffer_;
+    store_buffer stores_;
     bool halted_ = false;
 };
 

@@ -13,14 +13,18 @@ bool is_status(packet_kind k) {
 
 fabric_model::fabric_model(const fabric_config& cfg, u32 commit_paths,
                            u32 num_little_cores)
-    : cfg_(cfg), num_cores_(num_little_cores) {
-    buffers_.reserve(commit_paths);
-    for (u32 i = 0; i < commit_paths; ++i) {
-        buffers_.emplace_back(cfg.dc_buffer_depth);
-    }
+    : cfg_(cfg),
+      num_cores_(num_little_cores),
+      paths_(commit_paths),
+      order_ring_(std::size_t{2} * commit_paths * cfg.dc_buffer_depth),
+      channel_count_(std::size_t{2} * commit_paths, 0) {
     // Generous per-destination landing queues: the LSL applies the real
     // backpressure; this queue models link pipelining.
     dest_queues_.assign(num_little_cores, bounded_fifo<in_flight>(64));
+}
+
+u32 fabric_model::channel(packet_kind kind, u32 path) const {
+    return 2 * (path % paths_) + (is_status(kind) ? 0 : 1);
 }
 
 cycle_t fabric_model::hop_latency(u32 core) const {
@@ -33,68 +37,47 @@ cycle_t fabric_model::hop_latency(u32 core) const {
 }
 
 bool fabric_model::can_accept(packet_kind kind, u32 path) const {
-    const dc_buffer& buf = buffers_[path % buffers_.size()];
-    return is_status(kind) ? !buf.status.full() : !buf.runtime.full();
+    return channel_count_[channel(kind, path)] < cfg_.dc_buffer_depth;
 }
 
 bool fabric_model::push(fwd_packet p, u32 path, cycle_t now_big) {
-    dc_buffer& buf = buffers_[path % buffers_.size()];
-    staged_packet staged;
-    staged.packet = p;
-    staged.order = order_counter_;
-    // Clock-domain crossing: available to the low domain two low cycles after
-    // the big-cycle it was produced in.
-    staged.ready_lo = now_big / 2 + 2;
-    staged.remaining = p.dest;
-    auto& fifo = is_status(p.kind) ? buf.status : buf.runtime;
-    if (!fifo.push(staged)) {
+    const u32 ch = channel(p.kind, path);
+    if (channel_count_[ch] >= cfg_.dc_buffer_depth) {
         ++stats_.push_rejects;
         return false;
     }
-    ++order_counter_;
+    staged_packet staged;
+    staged.packet = p;
+    // Clock-domain crossing: available to the low domain two low cycles after
+    // the big-cycle it was produced in, and never before the packet ahead of
+    // it (see the push-time invariant in fabric.h).
+    staged.ready_lo = std::max(now_big / 2 + 2, last_ready_lo_);
+    staged.remaining = p.dest;
+    staged.channel = ch;
+    last_ready_lo_ = staged.ready_lo;
+    if (order_ring_.empty()) next_event_ = std::min(next_event_, staged.ready_lo);
+    order_ring_.push(staged);
     ++stats_.packets_pushed;
-    ++staged_count_;
-    stats_.max_dc_depth = std::max(stats_.max_dc_depth, fifo.size());
+    stats_.max_dc_depth = std::max<std::size_t>(stats_.max_dc_depth, ++channel_count_[ch]);
     return true;
 }
 
-cycle_t fabric_model::next_event_lo() const {
-    cycle_t next = k_no_event;
+void fabric_model::pop_staged() {
+    --channel_count_[order_ring_.front().channel];
+    order_ring_.pop();
+}
+
+void fabric_model::refresh_next_event() {
+    cycle_t next = order_ring_.empty() ? k_no_event : order_ring_.front().ready_lo;
     if (inflight_count_ != 0) {
         for (const auto& q : dest_queues_) {
             if (!q.empty()) next = std::min(next, q.front().deliver_at_lo);
         }
     }
-    if (staged_count_ != 0) {
-        for (const dc_buffer& buf : buffers_) {
-            for (const auto* fifo : {&buf.status, &buf.runtime}) {
-                if (!fifo->empty()) next = std::min(next, fifo->front().ready_lo);
-            }
-        }
-    }
-    return next;
+    next_event_ = next;
 }
 
-bounded_fifo<fabric_model::staged_packet>* fabric_model::oldest_head(cycle_t now_lo) {
-    bounded_fifo<staged_packet>* best = nullptr;
-    u64 best_order = ~u64{0};
-    for (dc_buffer& buf : buffers_) {
-        for (auto* fifo : {&buf.status, &buf.runtime}) {
-            if (fifo->empty()) continue;
-            const staged_packet& head = fifo->front();
-            if (head.ready_lo > now_lo) continue;
-            if (head.order < best_order) {
-                best_order = head.order;
-                best = fifo;
-            }
-        }
-    }
-    return best;
-}
-
-void fabric_model::tick_low(cycle_t now_lo) {
-    if (staged_count_ == 0 && inflight_count_ == 0) return;  // nothing anywhere
-
+void fabric_model::tick_due(cycle_t now_lo) {
     // 1) Complete in-flight deliveries (per-destination, in order).
     if (inflight_count_ != 0) {
         for (u32 core = 0; core < num_cores_; ++core) {
@@ -115,9 +98,8 @@ void fabric_model::tick_low(cycle_t now_lo) {
     const u32 slots = cfg_.kind == fabric_kind::f2 ? cfg_.f2_packets_per_cycle : 1;
     bool any = false;
     for (u32 s = 0; s < slots; ++s) {
-        bounded_fifo<staged_packet>* fifo = oldest_head(now_lo);
-        if (fifo == nullptr) break;
-        staged_packet& head = fifo->front();
+        if (order_ring_.empty() || order_ring_.front().ready_lo > now_lo) break;
+        staged_packet& head = order_ring_.front();
 
         if (cfg_.kind == fabric_kind::f2) {
             // 1-to-N multicast: one transmission reaches every destination.
@@ -138,10 +120,7 @@ void fabric_model::tick_low(cycle_t now_lo) {
                 }
             }
             if (delivered > 1) stats_.multicast_merged += delivered - 1;
-            if (head.remaining == 0 && delivered > 0) {
-                fifo->pop();
-                --staged_count_;
-            }
+            if (head.remaining == 0 && delivered > 0) pop_staged();
             if (delivered == 0) break;  // all destinations blocked
         } else {
             // AXI: one destination per bus transaction, plus a re-arbitration
@@ -156,19 +135,18 @@ void fabric_model::tick_low(cycle_t now_lo) {
             dest_queues_[core].push({head.packet, now_lo + hop_latency(core)});
             ++inflight_count_;
             head.remaining &= static_cast<dest_mask_t>(~(1u << core));
-            if (head.remaining == 0) {
-                fifo->pop();
-                --staged_count_;
-            }
+            const u32 granted = head.channel;
+            if (head.remaining == 0) pop_staged();
             // Alternate grants amortize the handshake over short bursts.
-            if (fifo != axi_last_src_) axi_rearb_ = !axi_rearb_was_;
+            if (granted != axi_last_channel_) axi_rearb_ = !axi_rearb_was_;
             axi_rearb_was_ = axi_rearb_;
-            axi_last_src_ = fifo;
+            axi_last_channel_ = granted;
         }
         ++stats_.transmissions;
         any = true;
     }
     if (any) ++stats_.busy_lo_cycles;
+    refresh_next_event();
 }
 
 }  // namespace meek

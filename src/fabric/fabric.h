@@ -13,6 +13,21 @@
 // 128-bit shared bus: one packet per cycle, no multicast (each destination
 // is a separate transaction), higher per-transfer latency. This reproduces
 // the Fig. 9 bottleneck.
+//
+// Model structure: every staged packet sits in one global order ring, in
+// push order; each DC-Buffer channel (path x status/run-time) keeps only its
+// occupancy, which is what can_accept() and the depth statistics see.
+// Lowest-order-first arbitration over the channel heads always grants the
+// ring's front, because of the push-time invariant:
+//
+//   Push times (`now_big`) never decrease. The SoC guarantees it at its
+//   fabric boundary; push() also clamps a packet's CDC-ready time to its
+//   predecessor's, so ready times are nondecreasing along the ring and the
+//   front is the earliest-ready packet. If the front is not ready, nothing is.
+//
+// The earliest low cycle with work due (the ring front's ready time, or the
+// earliest landing-queue arrival) is cached, so idle ticks and
+// next_event_lo() are O(1).
 #pragma once
 
 #include <functional>
@@ -68,10 +83,13 @@ public:
     bool push(fwd_packet p, u32 path, cycle_t now_big);
 
     // Advance one low-frequency-domain cycle: arbitrate transmissions out of
-    // the DC-Buffers and complete in-flight deliveries.
-    void tick_low(cycle_t now_lo);
+    // the DC-Buffers and complete in-flight deliveries. A cycle before the
+    // next event is a no-op.
+    void tick_low(cycle_t now_lo) {
+        if (now_lo >= next_event_) tick_due(now_lo);
+    }
 
-    bool drained() const { return staged_count_ == 0 && inflight_count_ == 0; }
+    bool drained() const { return order_ring_.empty() && inflight_count_ == 0; }
     const fabric_stats& stats() const { return stats_; }
     const fabric_config& config() const { return cfg_; }
 
@@ -81,14 +99,14 @@ public:
     // <= "now" means work (possibly a blocked-but-retrying delivery) is due
     // this very cycle; the event-driven SoC advance must not skip past it.
     static constexpr cycle_t k_no_event = ~cycle_t{0};
-    cycle_t next_event_lo() const;
+    cycle_t next_event_lo() const { return next_event_; }
 
 private:
     struct staged_packet {
         fwd_packet packet;
-        u64 order = 0;
         cycle_t ready_lo = 0;       // after clock-domain crossing
         dest_mask_t remaining = 0;  // destinations not yet transmitted (AXI)
+        u32 channel = 0;            // DC-Buffer channel it occupies
     };
 
     struct in_flight {
@@ -96,30 +114,30 @@ private:
         cycle_t deliver_at_lo = 0;
     };
 
-    struct dc_buffer {
-        bounded_fifo<staged_packet> status;
-        bounded_fifo<staged_packet> runtime;
-        dc_buffer(u32 depth) : status(depth), runtime(depth) {}
-    };
-
+    // DC-Buffer channel of a packet: two per commit path (status, run-time).
+    u32 channel(packet_kind kind, u32 path) const;
     // Per-core NoC hop latency: Manhattan distance in the grid placement.
     cycle_t hop_latency(u32 core) const;
-    bounded_fifo<staged_packet>* oldest_head(cycle_t now_lo);
+    void tick_due(cycle_t now_lo);
+    void pop_staged();
+    void refresh_next_event();
 
     fabric_config cfg_;
     u32 num_cores_;
-    std::vector<dc_buffer> buffers_;
+    u32 paths_;
+    bounded_fifo<staged_packet> order_ring_;    // every staged packet, push order
+    std::vector<u32> channel_count_;            // occupancy per DC-Buffer channel
     std::vector<bounded_fifo<in_flight>> dest_queues_;  // per little core
     deliver_ref deliver_;        // hot-path dispatch
     deliver_fn deliver_store_;   // owning holder behind set_deliver()
     fabric_stats stats_;
-    u64 order_counter_ = 0;
-    std::size_t staged_count_ = 0;    // packets sitting in DC-Buffers
     std::size_t inflight_count_ = 0;  // packets in per-core landing queues
+    cycle_t last_ready_lo_ = 0;       // ready time of the newest staged packet
+    cycle_t next_event_ = k_no_event;
 
     // AXI arbitration: switching the granted master/channel between
     // transactions costs a handshake cycle (AR/AW re-arbitration).
-    const void* axi_last_src_ = nullptr;
+    u32 axi_last_channel_ = ~u32{0};
     bool axi_rearb_ = false;
     bool axi_rearb_was_ = false;
 };

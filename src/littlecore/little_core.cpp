@@ -111,26 +111,6 @@ cycle_t little_core::control_penalty(const instr& ins, addr_t pc, bool taken,
     return 2;
 }
 
-void little_core::account_parked(cycle_t n) {
-    switch (park_) {
-        case park_state::idle_wait:
-        case park_state::runnable:  // callers never bulk-skip runnable cores
-            return;
-        case park_state::busy_wait:
-            stats_.busy_cycles += n;
-            return;
-        case park_state::extern_wait:
-            stats_.busy_cycles += n;
-            switch (park_stall_) {
-                case park_stall::srcp: stats_.stall_srcp += n; break;
-                case park_stall::watermark: stats_.stall_watermark += n; break;
-                case park_stall::lsl: stats_.stall_lsl_empty += n; break;
-                case park_stall::none: break;
-            }
-            return;
-    }
-}
-
 void little_core::assign_segment(const segment_job& job) {
     // MSU: record the application context before the checker takes over.
     saved_app_state_ = state_;

@@ -104,8 +104,9 @@ public:
     //   runnable    — must be ticked every little cycle (no skipping);
     //   idle_wait   — idle/report: nothing happens until assign/collect;
     //   busy_wait   — busy-waiting on busy_until_ (wake at park_wake());
-    //   extern_wait — stalled on external input (SRCP/ERCP words, LSL
-    //                 entries, the commit watermark); an event must unpark.
+    //   extern_wait — stalled on external input: SRCP/ERCP words or LSL
+    //                 entries (deliver() unparks), or the commit watermark
+    //                 (extern_wait_over() turns true once it has passed).
     enum class park_state : u8 { runnable, idle_wait, busy_wait, extern_wait };
     park_state park() const { return park_; }
     cycle_t park_wake() const { return park_wake_; }  // little cycles; busy_wait only
@@ -113,12 +114,27 @@ public:
     // Bulk accounting for `n` skipped little cycles: replicates exactly what
     // `n` consecutive ticks would have recorded (a parked tick only bumps
     // busy/stall counters and returns — no other state changes).
-    void account_parked(cycle_t n);
+    void account_parked(cycle_t n) {
+        if (park_ == park_state::busy_wait) {
+            stats_.busy_cycles += n;
+        } else if (park_ == park_state::extern_wait) {
+            stats_.busy_cycles += n;
+            switch (park_stall_) {
+                case park_stall::srcp: stats_.stall_srcp += n; break;
+                case park_stall::watermark: stats_.stall_watermark += n; break;
+                case park_stall::lsl: stats_.stall_lsl_empty += n; break;
+                case park_stall::none: break;
+            }
+        }
+        // idle_wait: nothing to count; runnable cores are never bulk-skipped.
+    }
 
-    // External wake: the commit watermark advanced (the only park condition
-    // not signalled through deliver()/assign_segment()).
-    void notify_external() {
-        if (park_ == park_state::extern_wait) park_ = park_state::runnable;
+    // An extern_wait on the one-behind rule ends as soon as the shared commit
+    // watermark passes, with no call into the core: the SoC checks this
+    // where it visits parked cores, so a commit costs nothing per checker.
+    bool extern_wait_over() const {
+        return park_stall_ == park_stall::watermark &&
+               *watermark_ >= start_seq_ + replayed_ + 2;
     }
 
     // Fabric delivery port. Returns false if the LSL rejected the packet.
@@ -168,26 +184,36 @@ private:
     // penalty (0 when predicted correctly) for a resolved control transfer.
     cycle_t control_penalty(const instr& ins, addr_t pc, bool taken, addr_t target);
 
+    // The state every tick and park check reads comes first, so it shares
+    // one or two host cache lines: the SoC visits each checker's park state
+    // every low cycle, and the rest of the core is kilobytes of tables.
+    enum class park_stall : u8 { none, srcp, watermark, lsl };
+    park_state park_ = park_state::runnable;
+    park_stall park_stall_ = park_stall::none;
+    checker_phase phase_ = checker_phase::idle;
+    core_mode mode_ = core_mode::application;
+    bool parity_error_pending_ = false;
+    cycle_t park_wake_ = 0;
+    cycle_t busy_until_ = 0;
+    const u64* watermark_ = nullptr;
+    u64 start_seq_ = 0;
+    u64 replayed_ = 0;
+    little_core_stats stats_;
+
     little_core_config cfg_;
     u32 core_id_;
     functional_memory& memory_;
     const program* prog_ = nullptr;
-    const u64* watermark_ = nullptr;
 
     cache_model l1i_;
     cache_model l1d_;
     load_store_log lsl_;
 
-    core_mode mode_ = core_mode::application;
-    checker_phase phase_ = checker_phase::idle;
     arch_state state_;
     arch_state saved_app_state_;  // MSU-recorded context (l.record semantics)
 
     // Replay bookkeeping.
     u32 segment_ = 0;
-    u64 start_seq_ = 0;
-    u64 replayed_ = 0;
-    cycle_t busy_until_ = 0;
     cycle_t phase_cycles_left_ = 0;
     std::array<cycle_t, k_num_arch_regs> xready_{};
     std::array<cycle_t, k_num_arch_regs> fready_{};
@@ -203,14 +229,6 @@ private:
     };
     std::array<btb_slot, 64> btb_{};
     std::array<u8, 256> bht_{};  // 2-bit counters, taken when >= 2
-    bool parity_error_pending_ = false;
-
-    enum class park_stall : u8 { none, srcp, watermark, lsl };
-    park_state park_ = park_state::runnable;
-    park_stall park_stall_ = park_stall::none;
-    cycle_t park_wake_ = 0;
-
-    little_core_stats stats_;
 };
 
 }  // namespace meek

@@ -44,6 +44,7 @@ meek_soc::meek_soc(const soc_config& cfg)
     // 1.6 GHz domain of Fig. 2. An explicit freq_override_mhz (design-space
     // sweeps) takes precedence over the tuning's achievable clock.
     little_freq_mhz_ = cfg.little.effective_freq_mhz();
+    set_low_ticks(0);
 }
 
 void meek_soc::load_program(const program& prog) {
@@ -76,18 +77,26 @@ void meek_soc::tick_low_once() {
     fabric_->tick_low(lo);
     // Little cores run at their achievable clock: e.g. 5 core cycles per 4
     // low-domain cycles at 2 GHz.
-    const cycle_t target = (lo + 1) * little_freq_mhz_ / cfg_.fabric.freq_mhz;
+    const cycle_t target = little_ticks_next_;
+    // Only a ticked core can latch a result, so collection runs only after
+    // one reports.
+    bool reported = false;
     while (little_ticks_done_ < target) {
         const cycle_t now = little_ticks_done_;
+        const auto tick = [&reported, now](little_core& lc) {
+            lc.tick(now);
+            reported |= lc.has_result();
+        };
         if (!event_driven_) {
             // Exhaustive reference mode: every core ticks every little cycle.
-            for (auto& lc : littles_) lc->tick(now);
+            for (auto& lc : littles_) tick(*lc);
         } else {
             // Per-core fast path: a parked core's tick is a pure counter
             // bump (or a no-op when idle), and its park condition cannot
-            // change mid-cycle — deliveries and watermark advances all land
-            // before this loop and unpark to runnable. account_parked(1)
-            // replicates the tick exactly without re-deriving the stall.
+            // change mid-cycle — deliveries (which unpark to runnable) and
+            // watermark advances (extern_wait_over) all land before this
+            // loop. account_parked(1) replicates the tick exactly without
+            // re-deriving the stall.
             for (auto& lc : littles_) {
                 switch (lc->park()) {
                     case little_core::park_state::idle_wait:
@@ -96,14 +105,18 @@ void meek_soc::tick_low_once() {
                         if (now < lc->park_wake()) {
                             lc->account_parked(1);
                         } else {
-                            lc->tick(now);
+                            tick(*lc);
                         }
                         break;
                     case little_core::park_state::extern_wait:
-                        lc->account_parked(1);
+                        if (lc->extern_wait_over()) {
+                            tick(*lc);
+                        } else {
+                            lc->account_parked(1);
+                        }
                         break;
                     case little_core::park_state::runnable:
-                        lc->tick(now);
+                        tick(*lc);
                         break;
                 }
             }
@@ -111,7 +124,20 @@ void meek_soc::tick_low_once() {
         ++little_ticks_done_;
     }
     ++low_ticks_done_;
-    collect_results();
+    // little_ticks_next_ = T(low_ticks_done_ + 1), one step on from T(lo + 1).
+    for (little_phase_ += little_freq_mhz_; little_phase_ >= cfg_.fabric.freq_mhz;
+         little_phase_ -= cfg_.fabric.freq_mhz) {
+        ++little_ticks_next_;
+    }
+    if (reported) collect_results();
+}
+
+void meek_soc::set_low_ticks(cycle_t lo) {
+    const u64 ff = cfg_.fabric.freq_mhz;
+    low_ticks_done_ = lo;
+    little_ticks_done_ = lo * little_freq_mhz_ / ff;
+    little_ticks_next_ = (lo + 1) * little_freq_mhz_ / ff;
+    little_phase_ = (lo + 1) * little_freq_mhz_ % ff;
 }
 
 void meek_soc::advance_low_to(cycle_t big_cycle) {
@@ -130,34 +156,41 @@ void meek_soc::advance_low_to(cycle_t big_cycle) {
 
 cycle_t meek_soc::next_activity_lo() const {
     const cycle_t lo = low_ticks_done_;
-    cycle_t wake = k_never;
+    // First pass: is anything due in this very low cycle? A busy-waiting
+    // core is due once this cycle's little-tick batch reaches its wake
+    // point W, i.e. T(lo + 1) > W.
+    bool busy_waits = false;
     for (const auto& lc : littles_) {
         switch (lc->park()) {
             case little_core::park_state::runnable:
                 return lo;
-            case little_core::park_state::busy_wait: {
-                // First low cycle whose little-tick batch reaches the wake
-                // point W (little cycles): smallest lo with T(lo+1) > W where
-                // T(n) = n * little_freq / fabric_freq (floor).
-                const cycle_t w = lc->park_wake();
-                const cycle_t lo_w = ((w + 1) * cfg_.fabric.freq_mhz +
-                                      little_freq_mhz_ - 1) /
-                                         little_freq_mhz_ -
-                                     1;
-                wake = std::min(wake, std::max(lo_w, lo));
+            case little_core::park_state::busy_wait:
+                if (lc->park_wake() < little_ticks_next_) return lo;
+                busy_waits = true;
                 break;
-            }
-            case little_core::park_state::idle_wait:
             case little_core::park_state::extern_wait:
-                break;  // only an external event can wake these
+                if (lc->extern_wait_over()) return lo;
+                break;  // otherwise only a delivery can wake it
+            case little_core::park_state::idle_wait:
+                break;  // only an assignment can wake it
         }
     }
+    // A due-but-blocked delivery (f <= lo) must keep retrying every low
+    // cycle so delivery_retries stays exact: no skipping.
     const cycle_t f = fabric_->next_event_lo();
-    if (f != fabric_model::k_no_event) {
-        // A due-but-blocked delivery (f <= lo) must keep retrying every low
-        // cycle so delivery_retries stays exact: no skipping.
-        if (f <= lo) return lo;
-        wake = std::min(wake, f);
+    if (f <= lo) return lo;
+    cycle_t wake = f;  // k_no_event == k_never when the fabric is empty
+    if (busy_waits) {
+        for (const auto& lc : littles_) {
+            if (lc->park() != little_core::park_state::busy_wait) continue;
+            // First low cycle whose little-tick batch reaches W: smallest
+            // n with T(n + 1) > W, where T(n) = n * little_freq /
+            // fabric_freq (floor).
+            const cycle_t w = lc->park_wake();
+            wake = std::min(wake, ((w + 1) * cfg_.fabric.freq_mhz + little_freq_mhz_ - 1) /
+                                          little_freq_mhz_ -
+                                      1);
+        }
     }
     return wake;
 }
@@ -166,12 +199,11 @@ void meek_soc::skip_span(cycle_t to_lo) {
     // Precondition: no activity in [low_ticks_done_, to_lo) — every little
     // core is parked (with busy wakes beyond the span) and no fabric event is
     // due, so the skipped ticks are pure counter increments.
-    const cycle_t t_target = to_lo * little_freq_mhz_ / cfg_.fabric.freq_mhz;
-    if (const cycle_t n = t_target - little_ticks_done_; n > 0) {
+    const cycle_t from = little_ticks_done_;
+    set_low_ticks(to_lo);
+    if (const cycle_t n = little_ticks_done_ - from; n > 0) {
         for (auto& lc : littles_) lc->account_parked(n);
     }
-    little_ticks_done_ = t_target;
-    low_ticks_done_ = to_lo;
 }
 
 void meek_soc::step_low_for_wait(cycle_t& guard, const char* what) {
@@ -232,6 +264,7 @@ cycle_t meek_soc::push_blocking(fwd_packet p, u32 path, cycle_t now_big,
         }
     }
     fabric_->push(p, path, now_big);
+    last_push_big_ = now_big;
     return now_big;
 }
 
@@ -353,9 +386,6 @@ cycle_t meek_soc::on_commit(const commit_record& rec, cycle_t proposed) {
     }
     ++segment_instrs_;
     committed_watermark_ = rec.seq + 1;
-    // The watermark is the one park condition not signalled via deliver():
-    // wake any checker stalled on the one-behind rule.
-    for (auto& lc : littles_) lc->notify_external();
 
     if (deu_.check_trigger(rec, segment_runtime_entries_, segment_instrs_) !=
         rcp_trigger::none) {
@@ -382,7 +412,11 @@ meek_run_result meek_soc::run(const run_limits& limits) {
         result.big = big_->run(limits, checking_ ? this : nullptr);
 
         if (checking_) {
-            cycle_t t = result.big.cycles;
+            // Push times never decrease (fabric.h). Every other push follows
+            // the commit it belongs to, but a run that commits nothing ends
+            // at big cycle 0, after its SRCP burst went out: the final RCP
+            // waits for that last push.
+            cycle_t t = std::max(result.big.cycles, last_push_big_);
             // An unresolved pending RCP here means zero instructions followed
             // the last boundary; there is nothing left to verify for it.
             pending_.reset();
@@ -397,7 +431,6 @@ meek_run_result meek_soc::run(const run_limits& limits) {
             // Let the tail checkers run out (the main thread is done, so the
             // one-behind rule no longer binds).
             committed_watermark_ = ~u64{0};
-            for (auto& lc : littles_) lc->notify_external();
             cycle_t guard = 0;
             auto all_idle = [&] {
                 return std::all_of(littles_.begin(), littles_.end(),

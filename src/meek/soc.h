@@ -156,6 +156,7 @@ private:
     static constexpr cycle_t k_never = ~cycle_t{0};
     cycle_t next_activity_lo() const;
     void skip_span(cycle_t to_lo);
+    void set_low_ticks(cycle_t lo);  // jumps the low and little clocks to `lo`
     void step_low_for_wait(cycle_t& guard, const char* what);
 
     // Push helpers that spin the low domain until the fabric accepts,
@@ -195,10 +196,17 @@ private:
     u64 committed_watermark_ = 0;  // shared with little cores (one-behind rule)
     std::optional<pending_rcp> pending_;
     cycle_t extract_busy_until_ = 0;
+    cycle_t last_push_big_ = 0;   // big cycle of the latest fabric push
     cycle_t low_ticks_done_ = 0;  // number of low cycles already simulated
 
     u64 little_freq_mhz_ = 2000;  // achievable clock of the little cores
+    // Little-core clock, with T(n) = n * little_freq / fabric_freq (floor):
+    // little_ticks_done_ = T(low_ticks_done_), little_ticks_next_ =
+    // T(low_ticks_done_ + 1) and little_phase_ the remainder of that last
+    // division, so a low tick advances the clock without dividing.
     cycle_t little_ticks_done_ = 0;
+    cycle_t little_ticks_next_ = 0;
+    u64 little_phase_ = 0;
 
     packet_hook packet_hook_;
     error_hook error_hook_;

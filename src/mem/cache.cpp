@@ -1,82 +1,63 @@
 #include "mem/cache.h"
 
 #include <algorithm>
+#include <bit>
 
 namespace meek {
 
 cache_model::cache_model(const cache_config& cfg)
-    : cfg_(cfg), num_sets_(cfg.num_sets()), lines_(num_sets_ * cfg.ways) {}
+    : cfg_(cfg),
+      num_sets_(cfg.num_sets()),
+      set_shift_(std::has_single_bit(num_sets_) ? std::countr_zero(num_sets_) : -1),
+      line_shift_(std::has_single_bit(cfg.line_bytes) ? std::countr_zero(cfg.line_bytes) : -1),
+      tags_(num_sets_ * cfg.ways, k_invalid),
+      stamps_(num_sets_ * cfg.ways),
+      dirty_(num_sets_ * cfg.ways) {}
 
-bool cache_model::lookup_and_touch(u64 line, bool is_write, cycle_t now) {
-    (void)now;
-    const std::size_t base = set_index(line) * cfg_.ways;
-    const u64 tag = tag_of(line);
-    for (u32 w = 0; w < cfg_.ways; ++w) {
-        line_state& ls = lines_[base + w];
-        if (ls.valid && ls.tag == tag) {
-            ls.lru_stamp = ++lru_clock_;
-            ls.dirty |= is_write;
-            return true;
-        }
-    }
-    return false;
-}
-
-void cache_model::fill(u64 line, bool is_write, cycle_t at) {
-    (void)at;
-    const std::size_t base = set_index(line) * cfg_.ways;
-    const u64 tag = tag_of(line);
-    // Prefer an invalid way; otherwise evict LRU.
+void cache_model::fill(u64 line, bool is_write) {
+    const std::size_t base = set_base(line);
+    // Prefer the first invalid way; otherwise evict LRU.
     std::size_t victim = base;
     u64 oldest = ~u64{0};
     for (u32 w = 0; w < cfg_.ways; ++w) {
-        line_state& ls = lines_[base + w];
-        if (!ls.valid) {
+        if (tags_[base + w] == k_invalid) {
             victim = base + w;
-            oldest = 0;
             break;
         }
-        if (ls.lru_stamp < oldest) {
-            oldest = ls.lru_stamp;
+        if (stamps_[base + w] < oldest) {
+            oldest = stamps_[base + w];
             victim = base + w;
         }
     }
-    line_state& v = lines_[victim];
-    if (v.valid) {
+    if (tags_[victim] != k_invalid) {
         ++stats_.evictions;
-        if (v.dirty) ++stats_.writebacks;
+        if (dirty_[victim]) ++stats_.writebacks;
     }
-    v.valid = true;
-    v.tag = tag;
-    v.dirty = is_write;
-    v.lru_stamp = ++lru_clock_;
+    tags_[victim] = tag_of(line);
+    dirty_[victim] = is_write;
+    stamps_[victim] = ++lru_clock_;
 }
 
-std::optional<cycle_t> cache_model::find_mshr(u64 line) const {
-    for (const mshr_entry& m : mshrs_) {
-        if (m.line == line) return m.ready_at;
-    }
-    return std::nullopt;
-}
-
-void cache_model::retire_mshrs(cycle_t now) {
+void cache_model::retire_landed(cycle_t now) {
     std::erase_if(mshrs_, [now](const mshr_entry& m) { return m.ready_at <= now; });
+    first_ready_ = k_no_mshr;
+    for (const mshr_entry& m : mshrs_) first_ready_ = std::min(first_ready_, m.ready_at);
 }
 
 bool cache_model::contains(addr_t addr) const {
-    const u64 line = addr / cfg_.line_bytes;
-    const std::size_t base = set_index(line) * cfg_.ways;
+    const u64 line = line_of(addr);
+    const std::size_t base = set_base(line);
     const u64 tag = tag_of(line);
-    for (u32 w = 0; w < cfg_.ways; ++w) {
-        const line_state& ls = lines_[base + w];
-        if (ls.valid && ls.tag == tag) return true;
-    }
-    return false;
+    return std::find(tags_.begin() + base, tags_.begin() + base + cfg_.ways, tag) !=
+           tags_.begin() + base + cfg_.ways;
 }
 
 void cache_model::invalidate_all() {
-    for (line_state& ls : lines_) ls = line_state{};
+    std::fill(tags_.begin(), tags_.end(), k_invalid);
+    std::fill(stamps_.begin(), stamps_.end(), 0);
+    std::fill(dirty_.begin(), dirty_.end(), 0);
     mshrs_.clear();
+    first_ready_ = k_no_mshr;
 }
 
 }  // namespace meek

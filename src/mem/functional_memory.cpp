@@ -1,14 +1,39 @@
 #include "mem/functional_memory.h"
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
 
 namespace meek {
+namespace {
+
+constexpr std::size_t k_initial_slots = 64;
+
+}  // namespace
+
+functional_memory::functional_memory()
+    : table_(k_initial_slots), shift_(64 - std::countr_zero(k_initial_slots)) {}
+
+std::size_t functional_memory::probe(u64 num) const {
+    const std::size_t mask = table_.size() - 1;
+    std::size_t i = static_cast<std::size_t>((num * 0x9e3779b97f4a7c15ULL) >> shift_);
+    while (table_[i].num != num && table_[i].num != k_empty) i = (i + 1) & mask;
+    return i;
+}
+
+void functional_memory::grow() {
+    std::vector<slot> old(table_.size() * 2);
+    old.swap(table_);
+    --shift_;
+    for (const slot& s : old) {
+        if (s.num != k_empty) table_[probe(s.num)] = s;
+    }
+}
 
 const functional_memory::page* functional_memory::find_page(addr_t addr) const {
     const u64 num = addr / k_page_bytes;
     if (last_lookup_ && last_lookup_num_ == num) return last_lookup_;
-    const auto it = pages_.find(num);
-    const page* p = it == pages_.end() ? nullptr : it->second.get();
+    const page* p = table_[probe(num)].p;
     if (p) {
         last_lookup_num_ = num;
         last_lookup_ = p;
@@ -19,14 +44,18 @@ const functional_memory::page* functional_memory::find_page(addr_t addr) const {
 functional_memory::page& functional_memory::touch_page(addr_t addr) {
     const u64 num = addr / k_page_bytes;
     if (last_touch_ && last_touch_num_ == num) return *last_touch_;
-    auto& slot = pages_[num];
-    if (!slot) {
-        slot = std::make_unique<page>();
-        slot->fill(0);
+    std::size_t i = probe(num);
+    if (table_[i].num == k_empty) {
+        if (2 * (pages_.size() + 1) > table_.size()) {
+            grow();
+            i = probe(num);
+        }
+        pages_.push_back(std::make_unique<page>());  // value-initialized: zeros
+        table_[i] = {num, pages_.back().get()};
     }
     last_touch_num_ = num;
-    last_touch_ = slot.get();
-    return *slot;
+    last_touch_ = table_[i].p;
+    return *last_touch_;
 }
 
 u8 functional_memory::read_byte(addr_t addr) const {
@@ -68,7 +97,14 @@ void functional_memory::write(addr_t addr, u8 size, u64 value) {
 }
 
 void functional_memory::write_block(addr_t addr, const u8* data, std::size_t len) {
-    for (std::size_t i = 0; i < len; ++i) write_byte(addr + i, data[i]);
+    while (len != 0) {
+        const std::size_t off = addr % k_page_bytes;
+        const std::size_t n = std::min<std::size_t>(len, k_page_bytes - off);
+        std::memcpy(touch_page(addr).data() + off, data, n);
+        addr += n;
+        data += n;
+        len -= n;
+    }
 }
 
 }  // namespace meek

@@ -117,6 +117,7 @@ bool save_point_checkpoint(const std::string& path, std::size_t point_index,
             double_bits(r.coverage), r.cycles, r.baseline_cycles, r.probe_detected,
             r.probe_masked, r.stall_collecting, r.stall_forwarding,
             r.stall_checker) > 0;
+    if (!r.error.empty()) ok = std::fprintf(f, "error %s\n", r.error.c_str()) > 0 && ok;
     ok = std::fclose(f) == 0 && ok;
     if (!ok) {
         std::remove(tmp.c_str());
@@ -165,6 +166,8 @@ std::optional<point_result> load_point_checkpoint(const std::string& path,
         r.overhead = bits_double(overhead);
         r.slowdown = bits_double(slowdown);
         r.coverage = bits_double(coverage);
+        char error[512] = {};
+        if (std::fscanf(f, " error %511[^\n]", error) == 1) r.error = error;
         out = std::move(r);
     }
     std::fclose(f);
@@ -179,10 +182,11 @@ point_result reduce_point(const design_point& pt, const sim::run_outcome& out,
     r.name = pt.name;
     r.system = pt.sc.system;
     r.off_registry = pt.off_registry;
-    r.cycles = out.cycles;
     r.baseline_cycles = baseline_cycles;
     r.skipped = out.skipped;
-    if (r.skipped) return r;
+    r.error = out.error;
+    if (r.skipped || !r.error.empty()) return r;
+    r.cycles = out.cycles;
 
     r.slowdown = baseline_cycles == 0
                      ? 0.0
@@ -333,7 +337,7 @@ rung_eval evaluate_rung(const std::vector<design_point>& points,
         std::vector<std::size_t> probe_idx;
         for (const std::size_t idx : to_eval) {
             if (points[idx].sc.system == sim::system_kind::meek &&
-                !eval.results[idx]->skipped) {
+                eval.results[idx]->ranked()) {
                 probe_idx.push_back(idx);
             }
         }
@@ -378,9 +382,9 @@ rung_eval evaluate_rung(const std::vector<design_point>& points,
 
 // Successive-halving rung-0 score: lower is better. Coverage is not measured
 // on the cheap rung, so promotion ranks the perf/area trade alone; skipped
-// points sort last.
+// and errored points sort last.
 double rung0_score(const point_result& r) {
-    if (r.skipped) return 1e300;
+    if (!r.ranked()) return 1e300;
     return r.slowdown * (1.0 + r.overhead);
 }
 
@@ -445,12 +449,12 @@ search_result run_search(const std::vector<design_point>& points,
     out.evaluated.reserve(candidates.size());
     for (const std::size_t idx : candidates) out.evaluated.push_back(*rf.results[idx]);
 
-    // Frontier over the non-skipped measurements, translated back to
+    // Frontier over the ranked measurements, translated back to
     // evaluated-row indices.
     std::vector<objectives> objs;
     std::vector<std::size_t> live;
     for (std::size_t i = 0; i < out.evaluated.size(); ++i) {
-        if (out.evaluated[i].skipped) continue;
+        if (!out.evaluated[i].ranked()) continue;
         objs.push_back(out.evaluated[i].objs());
         live.push_back(i);
     }
@@ -495,6 +499,7 @@ std::string to_ndjson(const search_result& r, bool frontier_only) {
         w.field("system", sim::system_kind_name(p.system));
         w.field("off_registry", p.off_registry);
         w.field("skipped", p.skipped);
+        if (!p.error.empty()) w.field("error", p.error);
         w.field_fixed("area_mm2", p.area_mm2, 6);
         w.field_fixed("overhead", p.overhead, 6);
         w.field_fixed("slowdown", p.slowdown, 6);

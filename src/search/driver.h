@@ -85,14 +85,18 @@ struct point_result {
     u64 stall_forwarding = 0;
     u64 stall_checker = 0;
     bool skipped = false;  // e.g. nZDC on a workload its compiler cannot build
+    // Non-empty when the point's run aborted (sim::run_outcome::error): its
+    // measurements are absent and it is never probed, promoted or ranked.
+    std::string error;
 
     objectives objs() const { return {area_mm2, slowdown, coverage}; }
+    bool ranked() const { return !skipped && error.empty(); }
 };
 
 struct search_result {
     // Full-budget measurements in point order (a subset of the universe under
-    // sampling/halving). Skipped points are kept in the list but excluded
-    // from the frontier.
+    // sampling/halving). Skipped and errored points are kept in the list but
+    // excluded from the frontier.
     std::vector<point_result> evaluated;
     std::vector<std::size_t> frontier;  // indices into `evaluated`, ascending
     std::size_t universe = 0;           // enumerated candidate points

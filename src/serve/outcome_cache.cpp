@@ -59,11 +59,15 @@ sim::run_outcome outcome_cache::outcome_for(const sim::run_spec& spec) {
     if (my_promise) {
         // We inserted the entry: simulate outside the lock so distinct keys
         // run in parallel, then publish to every waiter.
+        bool keep = false;
         try {
-            my_promise->set_value(
-                std::make_shared<const sim::run_outcome>(sim::execute(spec)));
+            auto out = std::make_shared<const sim::run_outcome>(sim::execute(spec));
+            keep = out->error.empty();
+            my_promise->set_value(std::move(out));
         } catch (...) {
             my_promise->set_exception(std::current_exception());
+        }
+        if (!keep) {
             std::lock_guard<std::mutex> lock(mutex_);
             auto it = index_.find(key);
             if (it != index_.end() && it->second->id == my_id) {

@@ -47,8 +47,9 @@ public:
     // The reduced outcome for `spec`, simulating on first request. The
     // returned copy carries `spec`'s scenario/workload names regardless of
     // which aliasing spec populated the entry. Propagates a simulation
-    // exception to every waiter of that key and forgets the entry so a later
-    // request can retry. Safe to call from any executor worker.
+    // exception, or an errored outcome (run_outcome::error), to every waiter
+    // of that key and forgets the entry: only valid outcomes are kept. Safe
+    // to call from any executor worker.
     sim::run_outcome outcome_for(const sim::run_spec& spec);
 
     outcome_cache_stats stats() const;

@@ -324,6 +324,11 @@ u64 service::run_batch(const line_source& next,
                             p.row.error = "job failed";
                         }
                         ++w.errors;
+                    } else if (!result.error.empty()) {
+                        // An aborted simulation is an error, never a row
+                        // of partial counters.
+                        p.row.error = std::move(result.error);
+                        ++w.errors;
                     } else {
                         sim_instructions.add(result.instructions);
                         sim_big_cycles.add(result.cycles);

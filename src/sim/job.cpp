@@ -32,6 +32,7 @@ run_outcome run_meek(const soc_config& cfg, const program& prog) {
     out.ipc = soc.big_core().stats().ipc();
     out.verified_ok = r.verified_ok;
     out.stats = r.soc;
+    out.error = r.error;
     for (u32 i = 0; i < cfg.num_little_cores; ++i) {
         const little_core_stats& s = soc.little(i).stats();
         out.replayed_instructions += s.replayed_instructions;

@@ -52,6 +52,11 @@ struct run_outcome {
     cycle_t checker_compute_cycles = 0;   // busy minus data-wait (Fig. 10)
 
     bool skipped = false;  // nZDC on a workload its compiler cannot build
+
+    // Non-empty when the simulation aborted (meek_run_result::error, e.g. a
+    // configuration that can make no progress). The other fields then hold a
+    // partial run and must not be reported, cached or ranked as a result.
+    std::string error;
 };
 
 // Build SoC -> run -> reduce. Safe to call concurrently from executor workers.

@@ -1,12 +1,16 @@
 // Big-core model tests: functional correctness of architectural state plus
 // first-order timing properties (ILP vs chains, divider cost, mispredicts,
-// structure stalls, store-to-load forwarding, the commit stream contract).
+// structure stalls, store-to-load forwarding, the commit stream contract),
+// and the store buffer's granule filter against a brute-force scan.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "bigcore/ooo_core.h"
+#include "bigcore/store_buffer.h"
 #include "common/bits.h"
+#include "common/rng.h"
 #include "isa/assembler.h"
 
 namespace meek {
@@ -199,6 +203,66 @@ TEST(bigcore, store_to_load_forwarding_beats_cache_path) {
     EXPECT_EQ(f.core.state().read_x(6), 125257u);
     // Timing check: only the first touch of the line misses L1D.
     EXPECT_LE(f.core.hierarchy().l1d().stats().misses, 4u);
+}
+
+// The youngest of the last `window` stores overlapping [addr, addr+size):
+// what the store buffer must return, found by scanning every store.
+const store_buffer::entry* brute_youngest(const std::vector<store_buffer::entry>& all,
+                                          std::size_t window, addr_t addr, u8 size) {
+    const std::size_t first = all.size() > window ? all.size() - window : 0;
+    for (std::size_t i = all.size(); i-- > first;) {
+        const store_buffer::entry& s = all[i];
+        if (addr + size > s.addr && addr < s.addr + s.size) return &s;
+    }
+    return nullptr;
+}
+
+TEST(store_buffer, filter_aliases_and_straddling_stores_match_a_full_scan) {
+    store_buffer sb(4);
+    // A store straddling an 8-byte boundary covers granules 0 and 1.
+    sb.push({0x1006, 4, 10, 11});
+    ASSERT_NE(sb.youngest_overlap(0x1008, 1), nullptr);
+    ASSERT_NE(sb.youngest_overlap(0x1000, 8), nullptr);
+    EXPECT_EQ(sb.youngest_overlap(0x1000, 6), nullptr) << "bytes 0..5 are untouched";
+    EXPECT_EQ(sb.youngest_overlap(0x100a, 2), nullptr);
+    // 2 KiB apart: same filter counter, no overlap; the scan must say no.
+    EXPECT_EQ(sb.youngest_overlap(0x1806, 4), nullptr);
+    EXPECT_EQ(sb.youngest_overlap(0x1008 + 2048, 1), nullptr);
+    // The youngest overlapping store wins.
+    sb.push({0x1004, 4, 20, 21});
+    ASSERT_NE(sb.youngest_overlap(0x1006, 1), nullptr);
+    EXPECT_EQ(sb.youngest_overlap(0x1006, 1)->data_ready, 20u);
+    EXPECT_EQ(sb.youngest_overlap(0x1008, 1)->data_ready, 10u);
+    // Eviction beyond the window clears the filter counts again.
+    for (addr_t a = 0; a < 4; ++a) sb.push({0x4000 + 8 * a, 8, 30, 31});
+    EXPECT_EQ(sb.size(), 4u);
+    EXPECT_EQ(sb.youngest_overlap(0x1000, 16), nullptr);
+
+    // Random streams over a region where most addresses alias in the filter
+    // (2 KiB stride) and many accesses straddle granules.
+    for (const u32 window : {1u, 5u, 32u}) {
+        SCOPED_TRACE(window);
+        store_buffer buf(window);
+        std::vector<store_buffer::entry> all;
+        rng r(window);
+        const u8 sizes[] = {1, 2, 4, 8};
+        for (cycle_t t = 0; t < 20'000; ++t) {
+            const addr_t addr = 0x8000 + 2048 * (r.next() % 4) + r.next() % 24;
+            const u8 size = sizes[r.next() % 4];
+            if (r.chance(0.4)) {
+                const store_buffer::entry e{addr, size, t, t + 1};
+                buf.push(e);
+                all.push_back(e);
+                continue;
+            }
+            const store_buffer::entry* want = brute_youngest(all, window, addr, size);
+            const store_buffer::entry* got = buf.youngest_overlap(addr, size);
+            ASSERT_EQ(got == nullptr, want == nullptr) << "load " << t;
+            if (got != nullptr) {
+                ASSERT_EQ(got->data_ready, want->data_ready);
+            }
+        }
+    }
 }
 
 TEST(bigcore, rob_limits_inflight_window) {

@@ -1,9 +1,15 @@
 // Forwarding-fabric tests: DC-Buffer backpressure, global ordering, F2
-// multicast vs AXI unicast, throughput differences and drain semantics.
+// multicast vs AXI unicast, throughput differences and drain semantics, and
+// the order-ring arbitration against a per-channel brute-force reference.
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <functional>
 #include <map>
+#include <tuple>
 #include <vector>
+
+#include "common/rng.h"
 
 #include "fabric/fabric.h"
 
@@ -187,6 +193,240 @@ TEST(fabric, max_dc_depth_tracks_occupancy) {
     f.init(fabric_kind::f2);
     for (u32 i = 0; i < 10; ++i) f.fabric->push(runtime_pkt(i, 1), 0, 0);
     EXPECT_GE(f.fabric->stats().max_dc_depth, 10u);
+}
+
+// Brute-force reference for arbitration: one deque per DC-Buffer channel and,
+// every transmission slot, a scan of all channel heads for the lowest push
+// order among the ready ones. Same delivery, multicast, AXI re-arbitration
+// and statistics rules as fabric_model, without the order ring.
+class reference_fabric {
+public:
+    using deliver_fn = std::function<bool(u32, const fwd_packet&)>;
+
+    reference_fabric(const fabric_config& cfg, u32 paths, u32 cores, deliver_fn deliver)
+        : cfg_(cfg), channels_(2 * paths), dest_(cores), deliver_(std::move(deliver)) {}
+
+    bool can_accept(packet_kind kind, u32 path) const {
+        return channels_[channel(kind, path)].size() < cfg_.dc_buffer_depth;
+    }
+
+    bool push(const fwd_packet& p, u32 path, cycle_t now_big) {
+        auto& q = channels_[channel(p.kind, path)];
+        if (q.size() >= cfg_.dc_buffer_depth) {
+            ++stats.push_rejects;
+            return false;
+        }
+        q.push_back({p, order_++, now_big / 2 + 2, p.dest});
+        ++stats.packets_pushed;
+        stats.max_dc_depth = std::max(stats.max_dc_depth, q.size());
+        return true;
+    }
+
+    void tick_low(cycle_t now) {
+        for (u32 core = 0; core < dest_.size(); ++core) {
+            auto& q = dest_[core];
+            while (!q.empty() && q.front().second <= now) {
+                if (!deliver_(core, q.front().first)) {
+                    ++stats.delivery_retries;
+                    break;
+                }
+                ++stats.packets_delivered;
+                q.pop_front();
+            }
+        }
+        const u32 slots = cfg_.kind == fabric_kind::f2 ? cfg_.f2_packets_per_cycle : 1;
+        bool any = false;
+        for (u32 s = 0; s < slots; ++s) {
+            std::deque<staged>* best = nullptr;
+            for (auto& q : channels_) {
+                if (!q.empty() && q.front().ready <= now &&
+                    (best == nullptr || q.front().order < best->front().order)) {
+                    best = &q;
+                }
+            }
+            if (best == nullptr) break;
+            staged& head = best->front();
+            const u32 ch = static_cast<u32>(best - channels_.data());
+            if (cfg_.kind == fabric_kind::f2) {
+                u32 fanout = 0;
+                for (u32 c = 0; c < dest_.size(); ++c) {
+                    if ((head.remaining >> c) & 1) {
+                        if (dest_[c].size() >= 64) break;
+                        ++fanout;
+                    }
+                }
+                u32 sent = 0;
+                for (u32 c = 0; c < dest_.size() && sent < fanout; ++c) {
+                    if ((head.remaining >> c) & 1) {
+                        dest_[c].push_back({head.packet, now + hop(c)});
+                        head.remaining &= static_cast<dest_mask_t>(~(1u << c));
+                        ++sent;
+                    }
+                }
+                if (sent > 1) stats.multicast_merged += sent - 1;
+                if (head.remaining == 0 && sent > 0) best->pop_front();
+                if (sent == 0) break;
+            } else {
+                if (rearb_) {
+                    rearb_ = false;
+                    break;
+                }
+                u32 c = 0;
+                while (c < dest_.size() && !((head.remaining >> c) & 1)) ++c;
+                if (c >= dest_.size() || dest_[c].size() >= 64) break;
+                dest_[c].push_back({head.packet, now + hop(c)});
+                head.remaining &= static_cast<dest_mask_t>(~(1u << c));
+                if (head.remaining == 0) best->pop_front();
+                if (ch != last_channel_) rearb_ = !rearb_was_;
+                rearb_was_ = rearb_;
+                last_channel_ = ch;
+            }
+            ++stats.transmissions;
+            any = true;
+        }
+        if (any) ++stats.busy_lo_cycles;
+    }
+
+    fabric_stats stats;
+
+private:
+    struct staged {
+        fwd_packet packet;
+        u64 order;
+        cycle_t ready;
+        dest_mask_t remaining;
+    };
+    static u32 channel(packet_kind kind, u32 path) {
+        const bool status =
+            kind == packet_kind::status_word || kind == packet_kind::segment_end;
+        return 2 * path + (status ? 0 : 1);
+    }
+    cycle_t hop(u32 core) const {
+        return cfg_.kind == fabric_kind::axi_interconnect ? 4 : 2 + core / 2 + core % 2;
+    }
+
+    fabric_config cfg_;
+    std::vector<std::deque<staged>> channels_;
+    std::vector<std::deque<std::pair<fwd_packet, cycle_t>>> dest_;
+    deliver_fn deliver_;
+    u64 order_ = 0;
+    u32 last_channel_ = ~0u;
+    bool rearb_ = false;
+    bool rearb_was_ = false;
+};
+
+// Drives fabric_model and the reference with one random packet stream
+// (nondecreasing push times, random channel, kind and multicast set) and one
+// delivery schedule that blocks each core for long windows, so landing
+// queues fill and arbitration stalls behind a full destination. Every
+// accepted delivery, can_accept answer and counter must agree.
+void expect_matches_reference(fabric_kind kind, u64 seed) {
+    constexpr u32 k_paths = 4;
+    constexpr u32 k_cores = 4;
+    fabric_config cfg;
+    cfg.kind = kind;
+    using delivery = std::tuple<cycle_t, u32, u64>;
+    std::vector<delivery> got, want;
+    cycle_t now = 0;
+    auto accepts = [&now](u32 core) { return (now / 97 + core) % 4 != 0; };
+
+    fabric_model model(cfg, k_paths, k_cores);
+    model.set_deliver([&](u32 core, const fwd_packet& p) {
+        if (!accepts(core)) return false;
+        got.emplace_back(now, core, p.seq);
+        return true;
+    });
+    reference_fabric ref(cfg, k_paths, k_cores, [&](u32 core, const fwd_packet& p) {
+        if (!accepts(core)) return false;
+        want.emplace_back(now, core, p.seq);
+        return true;
+    });
+
+    rng r(seed);
+    u64 seq = 0;
+    u64 refused = 0;
+    cycle_t big = 0;
+    for (now = 0; now < 4000; ++now) {
+        big = std::max(big, 2 * now);
+        const u64 burst = now < 3000 ? r.next() % 4 : 0;
+        for (u64 k = 0; k < burst; ++k) {
+            fwd_packet p = runtime_pkt(seq, 0);
+            const u64 kind_pick = r.next() % 3;
+            p.kind = kind_pick == 0   ? packet_kind::status_word
+                     : kind_pick == 1 ? packet_kind::runtime_store
+                                      : packet_kind::runtime_load;
+            p.dest = static_cast<dest_mask_t>(1 + r.next() % ((1u << k_cores) - 1));
+            const u32 path = static_cast<u32>(r.next() % k_paths);
+            big += r.next() % 2;
+            ASSERT_EQ(model.can_accept(p.kind, path), ref.can_accept(p.kind, path));
+            if (!model.can_accept(p.kind, path)) {
+                ++refused;
+                continue;
+            }
+            ASSERT_TRUE(model.push(p, path, big));
+            ASSERT_TRUE(ref.push(p, path, big));
+            ++seq;
+        }
+        model.tick_low(now);
+        ref.tick_low(now);
+        ASSERT_EQ(got, want) << "low cycle " << now;
+    }
+    EXPECT_TRUE(model.drained());
+    EXPECT_GT(refused, 0u) << "the schedule must back up into the DC-Buffers";
+    const fabric_stats& a = model.stats();
+    const fabric_stats& b = ref.stats;
+    EXPECT_EQ(a.packets_pushed, b.packets_pushed);
+    EXPECT_EQ(a.packets_delivered, b.packets_delivered);
+    EXPECT_EQ(a.transmissions, b.transmissions);
+    EXPECT_EQ(a.multicast_merged, b.multicast_merged);
+    EXPECT_EQ(a.delivery_retries, b.delivery_retries);
+    EXPECT_EQ(a.busy_lo_cycles, b.busy_lo_cycles);
+    EXPECT_EQ(a.max_dc_depth, b.max_dc_depth);
+}
+
+TEST(fabric_reference, f2_order_ring_matches_channel_scan_under_full_destinations) {
+    for (u64 seed : {1, 2, 3}) {
+        SCOPED_TRACE(seed);
+        expect_matches_reference(fabric_kind::f2, seed);
+    }
+}
+
+TEST(fabric_reference, axi_order_ring_matches_channel_scan_under_rearbitration) {
+    for (u64 seed : {1, 2, 3}) {
+        SCOPED_TRACE(seed);
+        expect_matches_reference(fabric_kind::axi_interconnect, seed);
+    }
+}
+
+TEST(fabric, next_event_is_the_earliest_due_work) {
+    fabric_fixture f;
+    f.init(fabric_kind::f2);
+    EXPECT_EQ(f.fabric->next_event_lo(), fabric_model::k_no_event);
+    ASSERT_TRUE(f.fabric->push(runtime_pkt(0, 0b10), 0, 100));  // ready at 52
+    EXPECT_EQ(f.fabric->next_event_lo(), 52u);
+    ASSERT_TRUE(f.fabric->push(runtime_pkt(1, 0b01), 1, 120));  // behind it
+    EXPECT_EQ(f.fabric->next_event_lo(), 52u);
+    f.run_low(0, 53);  // packet 0 leaves at 52 for core 1 (hop 3)
+    EXPECT_EQ(f.fabric->next_event_lo(), 55u);
+    f.run_low(53, 20);
+    EXPECT_EQ(f.fabric->next_event_lo(), fabric_model::k_no_event);
+    EXPECT_EQ(f.delivered[1].size(), 1u);
+    EXPECT_EQ(f.delivered[0].size(), 1u);
+}
+
+TEST(fabric, a_packet_is_never_ready_before_the_one_pushed_ahead_of_it) {
+    // Push times must not decrease (see fabric.h). If a caller breaks that,
+    // the later packet waits for its predecessor instead of overtaking it.
+    fabric_fixture f;
+    f.init(fabric_kind::f2);
+    ASSERT_TRUE(f.fabric->push(runtime_pkt(0, 1), 0, 100));  // ready at 52
+    ASSERT_TRUE(f.fabric->push(runtime_pkt(1, 1), 1, 0));    // would be 2
+    f.run_low(0, 52);
+    EXPECT_TRUE(f.delivered[0].empty());
+    f.run_low(52, 10);
+    ASSERT_EQ(f.delivered[0].size(), 2u);
+    EXPECT_EQ(f.delivered[0][0].seq, 0u);
+    EXPECT_EQ(f.delivered[0][1].seq, 1u);
 }
 
 }  // namespace

@@ -211,6 +211,57 @@ std::vector<search::design_point> quick_points() {
     return search::enumerate_points(grid, /*include_registry=*/false);
 }
 
+TEST(search_driver, an_aborted_point_is_reported_but_never_ranked) {
+    // One checker aborts its run (sim::run_outcome::error); its partial
+    // counters must not reach the frontier as a zero-slowdown point.
+    search::parameter_grid grid;
+    std::string error;
+    ASSERT_TRUE(search::parse_grid_axis(grid, "cores=1,2", &error)) << error;
+    ASSERT_TRUE(search::parse_grid_axis(grid, "fabric=f2", &error)) << error;
+    ASSERT_TRUE(search::parse_grid_axis(grid, "tuning=opt", &error)) << error;
+    const auto points = search::enumerate_points(grid, /*include_registry=*/false);
+    ASSERT_EQ(points.size(), 2u);
+    ASSERT_EQ(points[0].soc.num_little_cores, 1u);
+
+    sim::executor ex(2);
+    const search::search_result r = search::run_search(points, quick_opts(), ex);
+    ASSERT_TRUE(r.complete);
+    ASSERT_EQ(r.evaluated.size(), 2u);
+    const search::point_result& one = r.evaluated[0];
+    EXPECT_NE(one.name.find("/1c/"), std::string::npos) << one.name;
+    EXPECT_FALSE(one.error.empty());
+    EXPECT_EQ(one.probe_detected + one.probe_masked, 0u) << "errored points are not probed";
+    EXPECT_TRUE(r.evaluated[1].error.empty());
+    EXPECT_EQ(r.frontier, std::vector<std::size_t>{1});
+    EXPECT_NE(search::to_ndjson(r, false).find("\"error\""), std::string::npos);
+
+    // The error survives a sharded run's checkpoint merge, whichever shard
+    // measured the errored point.
+    const std::string dir = ::testing::TempDir() + "meek_search_errored";
+    for (const u32 first : {0u, 1u}) {
+        std::filesystem::remove_all(dir);
+        search::search_options shard = quick_opts();
+        shard.shard_count = 2;
+        shard.checkpoint_dir = dir;
+        shard.shard_index = first;
+        ASSERT_FALSE(search::run_search(points, shard, ex).complete);
+        shard.shard_index = 1 - first;
+        const search::search_result merged = search::run_search(points, shard, ex);
+        ASSERT_TRUE(merged.complete);
+        EXPECT_EQ(merged.evaluated[0].error, one.error);
+        EXPECT_EQ(search::to_ndjson(merged, false), search::to_ndjson(r, false));
+    }
+    std::filesystem::remove_all(dir);
+
+    // Successive halving never promotes it either.
+    search::search_options halving = quick_opts();
+    halving.strategy = search::strategy_kind::successive_halving;
+    halving.halving_keep = 0.5;
+    const search::search_result h = search::run_search(points, halving, ex);
+    ASSERT_EQ(h.evaluated.size(), 1u);
+    EXPECT_NE(h.evaluated[0].name.find("/2c/"), std::string::npos);
+}
+
 TEST(search_driver, frontier_is_bit_identical_at_any_thread_count) {
     const auto points = quick_points();
     const auto opts = quick_opts();

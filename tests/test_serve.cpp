@@ -826,6 +826,30 @@ TEST(serve_service, cores_beyond_the_destination_mask_are_an_in_slot_error) {
     EXPECT_EQ(spec.sc.name, "meek/f2/opt/16");
 }
 
+TEST(serve_service, an_aborted_simulation_is_an_in_slot_error_and_never_cached) {
+    // One checker cannot take the next segment while it still verifies the
+    // current one, so the SoC stops with an explicit error. That must reach
+    // the client as an error row, not as a row of partial counters, and a
+    // re-sent request must simulate again rather than hit a cached failure.
+    const std::vector<std::string> lines = {
+        R"({"scenario":"meek","cores":1,"workload":"hmmer"})",
+        R"({"scenario":"vanilla","workload":"hmmer","instructions":6000})",
+    };
+    serve::service svc({.threads = 2});
+    for (int pass = 0; pass < 2; ++pass) {
+        const std::vector<serve::response_row> rows = svc.evaluate(lines);
+        ASSERT_EQ(rows.size(), 2u);
+        EXPECT_EQ(rows[0].request_index, 0u);
+        EXPECT_NE(rows[0].error.find("livelock averted"), std::string::npos)
+            << rows[0].error;
+        EXPECT_EQ(serve::to_json(rows[0]).find("\"cycles\""), std::string::npos);
+        EXPECT_TRUE(rows[1].error.empty());
+        EXPECT_GT(rows[1].outcome.cycles, 0u);
+    }
+    EXPECT_EQ(svc.outcomes().size(), 1u) << "only the valid outcome is cached";
+    EXPECT_EQ(svc.outcomes().stats().misses, 3u) << "the failed run simulated twice";
+}
+
 TEST(serve_service, repeats_fan_out_into_derived_seeds_in_order) {
     const std::vector<std::string> lines = {
         R"({"scenario":"vanilla","workload":"hmmer","instructions":6000,"seed":11,"repeats":3})",

@@ -1,11 +1,16 @@
 // Sim-layer tests: executor determinism (thread-count invariance of fault
-// campaigns), scenario-registry round-trips, and pool robustness under
-// throwing jobs.
+// campaigns), scenario-registry round-trips, pool robustness under throwing
+// jobs, and a golden pin of full run outcomes.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <stdexcept>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "fault/campaign.h"
 #include "report/runner.h"
@@ -239,6 +244,49 @@ TEST(sim_jobs, nzdc_marks_unsupported_workloads_as_skipped) {
         sim::execute({sim::nzdc_scenario(), *gcc, 10'000, 1});
     EXPECT_TRUE(out.skipped);
     EXPECT_EQ(out.cycles, 0u);
+}
+
+// Every field of sim::execute's outcome for four workloads under four
+// systems, at 20k instructions and workload seed 1, pinned in
+// tests/data/kernel_outcomes_expected.csv. test_simkernel compares the two
+// low-domain advance modes with each other; this pin also catches a change
+// that moves both alike. Columns: scenario, workload, cycles, instructions,
+// verified_ok, the soc_stats counters, replayed instructions and checker
+// compute cycles.
+TEST(sim_jobs, kernel_outcomes_match_the_pinned_golden) {
+    std::ifstream in(std::filesystem::path(MEEK_DATA_DIR) / "kernel_outcomes_expected.csv");
+    ASSERT_TRUE(in) << "missing kernel_outcomes_expected.csv";
+    std::string line;
+    std::getline(in, line);  // header
+    std::size_t rows = 0;
+    while (std::getline(in, line)) {
+        std::vector<std::string> f;
+        std::stringstream ss(line);
+        for (std::string cell; std::getline(ss, cell, ',');) f.push_back(cell);
+        ASSERT_EQ(f.size(), 14u) << line;
+        SCOPED_TRACE(f[0] + " " + f[1]);
+        const sim::scenario* sc = sim::find_scenario(f[0]);
+        const workload_profile* p = find_profile(f[1]);
+        ASSERT_NE(sc, nullptr);
+        ASSERT_NE(p, nullptr);
+        const sim::run_outcome o = sim::execute({*sc, *p, 20'000, 1});
+        const auto u = [&f](std::size_t i) { return std::stoull(f[i]); };
+        EXPECT_TRUE(o.error.empty()) << o.error;
+        EXPECT_EQ(o.cycles, u(2));
+        EXPECT_EQ(o.instructions, u(3));
+        EXPECT_EQ(o.verified_ok ? 1u : 0u, u(4));
+        EXPECT_EQ(o.stats.segments_started, u(5));
+        EXPECT_EQ(o.stats.segments_verified, u(6));
+        EXPECT_EQ(o.stats.segments_failed, u(7));
+        EXPECT_EQ(o.stats.errors_detected, u(8));
+        EXPECT_EQ(o.stats.stall_collecting, u(9));
+        EXPECT_EQ(o.stats.stall_forwarding, u(10));
+        EXPECT_EQ(o.stats.stall_checker, u(11));
+        EXPECT_EQ(o.replayed_instructions, u(12));
+        EXPECT_EQ(o.checker_compute_cycles, u(13));
+        ++rows;
+    }
+    EXPECT_EQ(rows, 16u);
 }
 
 }  // namespace

@@ -4,6 +4,9 @@
 // corrupted.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "isa/assembler.h"
 #include "meek/soc.h"
 
@@ -145,6 +148,29 @@ TEST(soc_smoke, slowdown_against_unchecked_baseline_is_small) {
     // This microloop is ~22% memory ops at high IPC — harsher than any real
     // workload; the bound only guards against gross regressions.
     EXPECT_LT(slowdown, 1.75) << "loop throttled more than expected";
+}
+
+TEST(soc_smoke, a_run_that_commits_nothing_never_pushes_back_in_time) {
+    // With no commit, the big core ends at cycle 0, but the SRCP burst for
+    // segment 0 already went out at later cycles. The final RCP must not be
+    // stamped before it: packet creation times never decrease (fabric.h).
+    soc_config cfg;
+    cfg.num_little_cores = 4;
+    meek_soc soc(cfg);
+    const program p = loop_program(100);
+    soc.load_program(p);
+    std::vector<cycle_t> created;
+    soc.set_packet_hook([&](fwd_packet& pk) { created.push_back(pk.created_big_cycle); });
+    run_limits limits;
+    limits.max_instructions = 0;
+    const meek_run_result r = soc.run(limits);
+    EXPECT_EQ(r.big.instructions, 0u);
+    EXPECT_TRUE(r.error.empty()) << r.error;
+    // SRCP burst, then the final segment end and its ERCP burst.
+    ASSERT_EQ(created.size(), 2 * k_snapshot_words + 1);
+    EXPECT_GT(created[k_snapshot_words - 1], 0u) << "the SRCP burst spans cycles";
+    EXPECT_TRUE(std::is_sorted(created.begin(), created.end()));
+    EXPECT_TRUE(r.verified_ok);
 }
 
 }  // namespace

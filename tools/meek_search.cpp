@@ -239,6 +239,11 @@ int main(int argc, char** argv) {
                                         : search::to_csv(result, frontier_only);
     std::fwrite(rendered.data(), 1, rendered.size(), stdout);
 
+    for (const search::point_result& p : result.evaluated) {
+        if (!p.error.empty()) {
+            std::fprintf(stderr, "# error: %s: %s\n", p.name.c_str(), p.error.c_str());
+        }
+    }
     const serve::outcome_cache_stats os = outcomes.stats();
     const sim::executor_timing t = ex.timing();
     std::fprintf(stderr,
