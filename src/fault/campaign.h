@@ -11,14 +11,12 @@
 #pragma once
 
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/stats.h"
 #include "isa/program.h"
 #include "meek/soc.h"
-#include "obs/metrics.h"
 #include "sim/executor.h"
 
 namespace meek {
@@ -49,44 +47,21 @@ struct fault_campaign_config {
     // the LSL's parity check catches it on arrival.
     bool core_side_fault = true;
 
-    // Parallel decomposition: the executor overload splits the campaign into
-    // ceil(num_faults / faults_per_shard) independent shards, each with its
-    // own SoC and rng stream derived from (seed, shard index). The split is a
-    // pure function of this config — never of the thread count — so merged
-    // records are bit-identical whether 1 or 16 workers ran the shards.
+    // Parallel decomposition: the campaign splits into ceil(num_faults /
+    // faults_per_shard) independent shards, each with its own SoC and rng
+    // stream derived from (seed, shard index). The split is a pure function
+    // of this config — never of the thread count — so merged records are
+    // bit-identical whether 1 or 16 workers ran the shards.
     //
     // Each shard replays the program from the start (simulation cannot be
     // fast-forwarded), so shards sample the workload's steady-state loop
     // region rather than disjoint stream offsets; `shard_warmup_instructions`
-    // keeps every shard's injections out of the cold-cache startup window the
-    // serial campaign only traverses once. A shard's run ends at the
-    // instruction where its last fault settles; its instruction budget
-    // (warmup + faults x (gap + 2000) + horizon + 50k) is only a cap for a
-    // shard whose faults never all settle.
+    // keeps every shard's injections out of the cold-cache startup window. A
+    // shard's run ends at the instruction where its last fault settles; its
+    // instruction budget (warmup + faults x (gap + 2000) + horizon + 50k) and
+    // program end are only caps.
     u32 faults_per_shard = 50;
     u64 shard_warmup_instructions = 20'000;
-
-    // Resume/checkpoint: when nonempty, every completed shard's records are
-    // persisted to `<checkpoint_dir>/shard_<index>.ckpt` (the serial overload
-    // uses `serial.ckpt`), and a restarted campaign with the same config
-    // loads finished shards instead of re-simulating them — a killed campaign
-    // restarts at the first missing shard. Checkpoints carry a config header
-    // plus a fingerprint of the program and SoC under test; a file written
-    // under a different (seed, fault count, gap, horizon, target, ...) or a
-    // different workload/SoC is ignored and the shard is re-run, never
-    // trusted. Merged results are bit-identical with and without
-    // checkpointing.
-    std::string checkpoint_dir;
-
-    // Optional progress observability: when non-null, every finished shard
-    // pours campaign.faults_injected / campaign.records_emitted /
-    // campaign.instructions_simulated / campaign.shards_completed /
-    // campaign.shards_resumed counters into this registry, so a long sharded
-    // campaign is watchable through the same stats JSON as everything else.
-    // Counters are relaxed atomics — safe from concurrent shard jobs. Purely
-    // diagnostic: never part of the checkpoint header or context fingerprint,
-    // never influences results.
-    obs::metrics_registry* metrics = nullptr;
 };
 
 struct fault_record {
@@ -111,10 +86,8 @@ struct campaign_result {
     u64 detected = 0;
     u64 masked = 0;
     running_stat latency_ns;  // over detected faults
-    u64 resumed_shards = 0;   // shards satisfied from checkpoints, not simulation
-    // Big-core instructions simulated, summed over shards in shard order; a
-    // shard resumed from a checkpoint contributes 0. Diagnostic only: never
-    // checkpointed.
+    // Big-core instructions simulated, summed over shards in shard order.
+    // Diagnostic only.
     u64 simulated_instructions = 0;
 
     double detection_rate() const {
@@ -123,20 +96,16 @@ struct campaign_result {
     }
 };
 
-// Runs a fresh MEEK SoC over `prog` injecting per `cfg`. The run ends at the
-// instruction where the last fault settles (detected, or masked by the
-// horizon); program end is only a cap, so a program too short to host every
-// requested fault yields fewer records. A campaign with no faults simulates
-// nothing.
-campaign_result run_fault_campaign(const soc_config& soc_cfg, const program& prog,
-                                   const fault_campaign_config& cfg);
-
-// Parallel campaign: fans fixed-size fault shards (see `faults_per_shard`)
-// out across `ex`'s workers; each shard runs its own SoC over `prog` with a
-// per-shard rng stream until its last fault settles (capped by an instruction
-// budget sized to its fault count), and the per-shard records/accumulators
-// are merged in shard order at join.
-// Deterministic at any thread count for a given config.
+// Fans fixed-size fault shards (see `faults_per_shard`) out across `ex`'s
+// workers and merges their records and accumulators in shard order at join.
+// Each shard runs a fresh MEEK SoC over `prog` with its own rng stream and
+// ends at the instruction where its last fault settles (detected, or masked
+// by the horizon); its instruction budget and program end are only caps, so
+// a program too short to host every requested fault yields fewer records. A
+// single-shard campaign runs inline on the calling thread and posts nothing
+// to `ex`, so it is safe to call from inside one of `ex`'s jobs. A campaign
+// with no faults simulates nothing. Deterministic at any thread count for a
+// given config.
 campaign_result run_fault_campaign(const soc_config& soc_cfg, const program& prog,
                                    const fault_campaign_config& cfg,
                                    sim::executor& ex);
@@ -144,26 +113,5 @@ campaign_result run_fault_campaign(const soc_config& soc_cfg, const program& pro
 // Convenience: latency histogram in ns over detected faults.
 histogram latency_histogram(const campaign_result& result, double max_ns = 3200.0,
                             std::size_t bins = 16);
-
-// Identity of the system a campaign ran on: a content hash over the program
-// image (text, entry, data blobs) and the campaign-relevant soc_config knobs.
-// Baked into every checkpoint header so a checkpoint from a different
-// workload or SoC can never satisfy a shard whose config otherwise matches.
-u64 campaign_context_fingerprint(const soc_config& soc_cfg, const program& prog);
-
-// Shard checkpoint serialization (plain text: a config header plus one fault
-// record per line). save writes atomically (temp file + rename) and creates
-// the directory on demand; returns false on I/O failure. load validates the
-// header against the shard's exact config and `context_fingerprint` and
-// returns nullopt on any mismatch, truncation, or parse error. `freq_mhz` is
-// the big-core clock the latency statistic is recomputed with — the loaded
-// result is bit-identical to the one the simulating shard produced.
-bool save_shard_checkpoint(const std::string& path,
-                           const fault_campaign_config& shard_cfg,
-                           std::size_t shard_index, u64 context_fingerprint,
-                           const campaign_result& result);
-std::optional<campaign_result> load_shard_checkpoint(
-    const std::string& path, const fault_campaign_config& shard_cfg,
-    std::size_t shard_index, u64 context_fingerprint, u64 freq_mhz);
 
 }  // namespace meek

@@ -1,6 +1,7 @@
 #include "report/runner.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "bigcore/ooo_core.h"
 #include "mem/functional_memory.h"
@@ -29,6 +30,13 @@ sim::run_spec make_spec(const sim::scenario& sc, const workload_profile& profile
     return spec;
 }
 
+// An aborted run holds partial counters; no figure may reduce them.
+void require_valid(const sim::run_outcome& out) {
+    if (!out.error.empty()) {
+        throw std::runtime_error(out.scenario + " on " + out.workload + ": " + out.error);
+    }
+}
+
 // The Fig. 6 job list for one workload, in fixed reduction order.
 std::vector<sim::run_spec> fig6_specs(const workload_profile& profile,
                                       const figure6_options& opts,
@@ -46,6 +54,7 @@ std::vector<sim::run_spec> fig6_specs(const workload_profile& profile,
 
 slowdown_row reduce_fig6(const workload_profile& profile,
                          std::span<const sim::run_outcome> outs) {
+    for (const sim::run_outcome& out : outs) require_valid(out);
     slowdown_row row;
     row.workload = profile.name;
     row.suite = profile.suite;
@@ -75,6 +84,8 @@ slowdown_row reduce_fig6(const workload_profile& profile,
 
 meek_measurement reduce_meek(const sim::run_outcome& baseline,
                              const sim::run_outcome& meek) {
+    require_valid(baseline);
+    require_valid(meek);
     meek_measurement m;
     m.baseline_cycles = baseline.cycles;
     m.meek.big.cycles = meek.cycles;
@@ -166,6 +177,7 @@ std::vector<meek_measurement> measure_meek_suite(
 }
 
 double verification_throughput(const sim::run_outcome& out) {
+    require_valid(out);
     return out.checker_compute_cycles == 0
                ? 0.0
                : static_cast<double>(out.replayed_instructions) /

@@ -7,6 +7,9 @@
 // system) pair becomes a `sim::run_spec` job, and the suite variants fan the
 // jobs out across a `sim::executor` — per-job accumulators are merged after
 // the deterministic join, so N-thread results match 1-thread results.
+// A run that aborted (`sim::run_outcome::error`) is never reduced: every
+// driver below, and `verification_throughput`, throws std::runtime_error
+// naming the scenario, the workload and the SoC's message.
 //
 // Workload generation is memoized per driver call through a
 // `serve::workload_cache`: the baseline/MEEK/lockstep/nZDC jobs for one

@@ -41,11 +41,14 @@ sim::run_spec perf_spec(const design_point& pt, const workload_profile& profile,
     return spec;
 }
 
+// The probe is one single-shard campaign: it runs inline on the worker that
+// evaluates the point, never as a batch nested inside that worker's batch.
 fault_campaign_config probe_config(const search_options& opts) {
     fault_campaign_config fc;
     fc.num_faults = opts.probe.faults;
     fc.gap_instructions = opts.probe.gap_instructions;
     fc.seed = opts.probe.seed;
+    fc.faults_per_shard = std::max<u32>(1, fc.num_faults);
     return fc;
 }
 
@@ -89,9 +92,11 @@ double bits_double(u64 bits) {
     return d;
 }
 
-// Shard-file pattern as in fault::save_shard_checkpoint: temp file + rename,
-// doubles persisted as exact bit patterns so a loaded result is bit-identical
-// to the measuring shard's.
+// Temp file + rename, doubles persisted as exact bit patterns so a loaded
+// result is bit-identical to the measuring shard's. The header version
+// changes whenever a field's meaning does (v2: coverage from the
+// single-shard campaign probe), so an older file is re-evaluated, never
+// trusted.
 bool save_point_checkpoint(const std::string& path, std::size_t point_index,
                            u32 rung, u64 context, const point_result& r) {
     std::error_code ec;
@@ -106,7 +111,7 @@ bool save_point_checkpoint(const std::string& path, std::size_t point_index,
     bool ok =
         std::fprintf(
             f,
-            "meek-search-ckpt v1\n"
+            "meek-search-ckpt v2\n"
             "point %zu rung %u context %" PRIx64 "\n"
             "%s %d %d %d %" PRIx64 " %" PRIx64 " %" PRIx64 " %" PRIx64 " %" PRIu64
             " %" PRIu64 " %" PRIu64 " %" PRIu64 " %" PRIu64 " %" PRIu64 " %" PRIu64
@@ -145,7 +150,7 @@ std::optional<point_result> load_point_checkpoint(const std::string& path,
 
     const bool ok =
         std::fscanf(f, "meek-search-ckpt %31s", magic) == 1 &&
-        std::strcmp(magic, "v1") == 0 &&
+        std::strcmp(magic, "v2") == 0 &&
         std::fscanf(f, " point %zu rung %u context %" SCNx64, &idx, &file_rung,
                     &file_context) == 3 &&
         idx == point_index && file_rung == rung && file_context == context &&
@@ -224,10 +229,10 @@ point_result reduce_point(const design_point& pt, const sim::run_outcome& out,
 }
 
 // The estimated evaluation cost of one candidate on this rung: the perf
-// run's cost hint, plus — for MEEK points on a probing rung — the serial
-// fault-campaign probe, which dominates (one SoC simulation of the probe
-// program until its last fault settles, sized here by the whole program as
-// an upper bound). Drives the cost-balanced shard split below; never results.
+// run's cost hint, plus — for MEEK points on a probing rung — the
+// single-shard fault-campaign probe, which dominates (one SoC simulation of
+// the probe program until its last fault settles, sized here by the whole
+// program as an upper bound). Drives the cost-balanced shard split below; never results.
 double candidate_cost(const design_point& pt, const workload_profile& profile,
                       const rung_budget& budget, const search_options& opts) {
     double cost = sim::cost_hint(perf_spec(pt, profile, budget, opts));
@@ -330,9 +335,9 @@ rung_eval evaluate_rung(const std::vector<design_point>& points,
             reduce_point(points[to_eval[i]], outs[i + 1], baseline_cycles, areas);
     }
 
-    // Phase B: coverage probes for the MEEK points — one serial fault
+    // Phase B: coverage probes for the MEEK points — one single-shard fault
     // campaign per point over a shared probe program, each an independent
-    // executor job.
+    // executor job that runs its campaign inline.
     if (budget.probe) {
         std::vector<std::size_t> probe_idx;
         for (const std::size_t idx : to_eval) {
@@ -348,9 +353,9 @@ rung_eval evaluate_rung(const std::vector<design_point>& points,
                                        opts.probe.seed);
             const std::vector<campaign_result> probes = ex.map(
                 probe_idx, /*base_seed=*/0,
-                [&points, &probe_wl, &fc](const std::size_t idx,
-                                          const sim::job_context&) {
-                    return run_fault_campaign(points[idx].soc, probe_wl->prog, fc);
+                [&points, &probe_wl, &fc, &ex](const std::size_t idx,
+                                               const sim::job_context&) {
+                    return run_fault_campaign(points[idx].soc, probe_wl->prog, fc, ex);
                 });
             for (std::size_t i = 0; i < probe_idx.size(); ++i) {
                 point_result& r = *eval.results[probe_idx[i]];

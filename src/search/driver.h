@@ -7,11 +7,12 @@
 //   * a performance run (the point's system over the workload, slowdown
 //     against one shared vanilla baseline run), routed through the
 //     completed-result cache when one is attached, and
-//   * for MEEK points, a fault-campaign probe (serial campaign, one executor
-//     job) whose detection rate is the coverage objective. Non-MEEK systems
-//     carry analytical coverage: vanilla detects nothing (0); EA-LockStep is
-//     cycle-level dual modular redundancy and nZDC instruction-duplicates
-//     every supported computation, both full-coverage by construction (1).
+//   * for MEEK points, a fault-campaign probe (a single-shard campaign that
+//     runs inline in its executor job) whose detection rate is the coverage
+//     objective. Non-MEEK systems carry analytical coverage: vanilla detects
+//     nothing (0); EA-LockStep is cycle-level dual modular redundancy and
+//     nZDC instruction-duplicates every supported computation, both
+//     full-coverage by construction (1).
 // Area comes from area::area_model: MEEK extra silicon for MEEK points, the
 // equal-silicon construction for EA-LockStep (its two scaled cores occupy
 // exactly big + MEEK-extra), zero for vanilla and the compiler-only nZDC.
@@ -22,16 +23,15 @@
 // MEEK points), so one shard does not end up owning all the expensive
 // configurations; every shard process derives the identical ownership map
 // from the candidates alone. Each process evaluates the points it owns and
-// persists one checkpoint file per (point, rung) in checkpoint_dir —
-// the fault-campaign shard-file pattern: config-fingerprint header, value
-// payload with doubles as exact bit patterns, atomic rename. A shard that
-// finds every other shard's checkpoints present emits the complete merged
-// frontier, byte-identical to an unsharded run; otherwise it reports which
-// shards are still missing. `resume` additionally reuses this shard's own
-// completed checkpoints, so a killed shard restarts at its first missing
-// point. Successive halving needs every rung-0 checkpoint before it can
-// promote: run the per-shard commands once per rung until the search reports
-// complete.
+// persists one checkpoint file per (point, rung) in checkpoint_dir: a
+// versioned config-fingerprint header, value payload with doubles as exact
+// bit patterns, atomic rename. A shard that finds every other shard's
+// checkpoints present emits the complete merged frontier, byte-identical to
+// an unsharded run; otherwise it reports which shards are still missing.
+// `resume` additionally reuses this shard's own completed checkpoints, so a
+// killed shard restarts at its first missing point. Successive halving needs
+// every rung-0 checkpoint before it can promote: run the per-shard commands
+// once per rung until the search reports complete.
 #pragma once
 
 #include <string>

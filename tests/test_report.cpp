@@ -1,10 +1,13 @@
-// Report-layer tests: table rendering, CSV emission and ascii bars.
+// Report-layer tests: table rendering, CSV emission, ascii bars, and the
+// figure runner's refusal to reduce an aborted run.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 
+#include "report/runner.h"
 #include "report/table.h"
 
 namespace meek {
@@ -56,6 +59,22 @@ TEST(bars, ascii_bar_scales) {
     EXPECT_EQ(ascii_bar(1.0, 1.0, 10), "##########");
     EXPECT_EQ(ascii_bar(2.0, 1.0, 10), "##########");  // clamped
     EXPECT_EQ(ascii_bar(1.0, 0.0, 10), "");             // degenerate max
+}
+
+TEST(runner, an_aborted_run_is_an_error_not_a_slowdown) {
+    // One checker cannot take the next segment while it still verifies the
+    // current one, so the SoC stops with an explicit error; its partial
+    // counters must never become a figure row.
+    soc_config cfg;
+    cfg.num_little_cores = 1;
+    try {
+        measure_meek(cfg, *find_profile("hmmer"), 20'000);
+        FAIL() << "measure_meek reduced an aborted run";
+    } catch (const std::runtime_error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("meek/f2/opt/1"), std::string::npos) << what;
+        EXPECT_NE(what.find("livelock averted"), std::string::npos) << what;
+    }
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -353,6 +355,55 @@ TEST(search_driver, checkpoints_from_a_different_search_setup_are_ignored) {
     EXPECT_EQ(again.resumed_points, points.size());
     EXPECT_EQ(search::to_csv(again, false), search::to_csv(first, false));
     std::filesystem::remove_all(dir);
+}
+
+TEST(search_driver, checkpoints_with_an_older_header_version_are_re_evaluated) {
+    // v1 files hold coverage from an earlier probe engine under the same
+    // context fingerprint: they must be simulated again, never trusted.
+    const std::string dir = ::testing::TempDir() + "meek_search_v1";
+    std::filesystem::remove_all(dir);
+    const auto points = quick_points();
+    sim::executor ex(4);
+
+    search::search_options opts = quick_opts();
+    opts.checkpoint_dir = dir;
+    opts.resume = true;
+    const search::search_result first = search::run_search(points, opts, ex);
+    ASSERT_TRUE(first.complete);
+    EXPECT_EQ(search::run_search(points, opts, ex).resumed_points, points.size());
+
+    const std::string victim = dir + "/point_0_r0.ckpt";
+    std::ostringstream body;
+    body << std::ifstream(victim).rdbuf();
+    std::string text = body.str();
+    const std::string current = "meek-search-ckpt v2\n";
+    ASSERT_EQ(text.rfind(current, 0), 0u) << text;
+    text.replace(0, current.size(), "meek-search-ckpt v1\n");
+    std::ofstream(victim, std::ios::trunc) << text;
+
+    const search::search_result rerun = search::run_search(points, opts, ex);
+    ASSERT_TRUE(rerun.complete);
+    EXPECT_EQ(rerun.resumed_points, points.size() - 1) << "the v1 point re-simulates";
+    EXPECT_EQ(search::to_csv(rerun, false), search::to_csv(first, false));
+    std::filesystem::remove_all(dir);
+}
+
+TEST(search_driver, a_probe_above_one_shard_of_faults_never_nests_a_batch) {
+    // 51 probe faults exceed the campaign's default 50 faults per shard. The
+    // probe still runs as one shard inside its executor job, so even a
+    // single worker — busy running that job — completes the search.
+    const auto points = quick_points();
+    search::search_options opts = quick_opts();
+    opts.probe.faults = 51;
+    sim::executor one(1);
+    sim::executor two(2);
+    const search::search_result a = search::run_search(points, opts, one);
+    const search::search_result b = search::run_search(points, opts, two);
+    ASSERT_TRUE(a.complete);
+    for (const search::point_result& p : a.evaluated) {
+        EXPECT_EQ(p.probe_detected + p.probe_masked, 51u) << p.name;
+    }
+    EXPECT_EQ(search::to_csv(a, false), search::to_csv(b, false));
 }
 
 TEST(search_driver, random_sampling_evaluates_the_seeded_subset) {
