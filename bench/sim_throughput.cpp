@@ -58,12 +58,19 @@ struct timed_outcome {
     double wall_ms = 0.0;
 };
 
+// An aborted run (sim::run_outcome::error) has no throughput to report: it
+// is printed and the bench exits 1 rather than timing partial counters.
 timed_outcome run_once(const sim::run_spec& spec) {
     const auto t0 = std::chrono::steady_clock::now();
     timed_outcome r;
     r.out = sim::execute(spec);
     const auto t1 = std::chrono::steady_clock::now();
     r.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
+    if (!r.out.error.empty()) {
+        std::fprintf(stderr, "sim_throughput: %s on %s: %s\n", spec.sc.name.c_str(),
+                     spec.workload.name.c_str(), r.out.error.c_str());
+        std::exit(1);
+    }
     return r;
 }
 

@@ -1,7 +1,6 @@
 // The unified work-stealing worker pool under every parallel layer of the
-// harness: sim::executor fans simulation jobs through it, and its placement
-// helper (sched/placement.h) splits search slices with the same
-// cost-balancing rule.
+// harness: sim::executor fans simulation jobs through it, placing each job
+// with the cost-balancing helper in sched/placement.h.
 //
 // Scheduling model:
 //   * every worker owns one deque (sched/deque.h); a posted task names its

@@ -17,21 +17,9 @@
 // equal-silicon construction for EA-LockStep (its two scaled cores occupy
 // exactly big + MEEK-extra), zero for vanilla and the compiler-only nZDC.
 //
-// Sharded execution: with shard_count > 1 the candidate list is split by a
-// deterministic cost-balanced assignment (sched::balanced_assignment over
-// each point's estimated evaluation cost — perf run plus fault-probe for
-// MEEK points), so one shard does not end up owning all the expensive
-// configurations; every shard process derives the identical ownership map
-// from the candidates alone. Each process evaluates the points it owns and
-// persists one checkpoint file per (point, rung) in checkpoint_dir: a
-// versioned config-fingerprint header, value payload with doubles as exact
-// bit patterns, atomic rename. A shard that finds every other shard's
-// checkpoints present emits the complete merged frontier, byte-identical to
-// an unsharded run; otherwise it reports which shards are still missing.
-// `resume` additionally reuses this shard's own completed checkpoints, so a
-// killed shard restarts at its first missing point. Successive halving needs
-// every rung-0 checkpoint before it can promote: run the per-shard commands
-// once per rung until the search reports complete.
+// The search runs in one process: every candidate is a job on the caller's
+// executor, so its threads are the only parallelism, and nothing is written
+// to disk.
 #pragma once
 
 #include <string>
@@ -62,11 +50,6 @@ struct search_options {
     u64 sample_seed = 7;
     double halving_keep = 0.34;  // fraction promoted to the full-budget rung
     u64 halving_divisor = 8;     // rung-0 instructions = instructions / divisor
-
-    u32 shard_index = 0;
-    u32 shard_count = 1;
-    std::string checkpoint_dir;  // empty => no persistence
-    bool resume = false;         // reuse this shard's own completed checkpoints
 };
 
 struct point_result {
@@ -101,16 +84,13 @@ struct search_result {
     std::vector<std::size_t> frontier;  // indices into `evaluated`, ascending
     std::size_t universe = 0;           // enumerated candidate points
     std::size_t pruned = 0;             // rung-0 losers / unsampled points
-    u64 resumed_points = 0;             // satisfied from checkpoints, not simulation
-    bool complete = true;               // false: waiting on other shards
-    std::vector<u32> missing_shards;    // shards whose checkpoints are absent
 };
 
 // Run the configured strategy over `points`. `outcomes` (optional) dedups
 // repeated evaluations against the serve layer's completed-result cache.
 // Deterministic contract: for a given (points, opts) the returned result —
 // and therefore the CSV/NDJSON renderings below — is bit-identical at any
-// thread count and any sharding split.
+// thread count.
 search_result run_search(const std::vector<design_point>& points,
                          const search_options& opts, sim::executor& ex,
                          serve::outcome_cache* outcomes = nullptr);

@@ -43,6 +43,8 @@ std::vector<std::size_t> promote(const std::vector<std::size_t>& candidates,
                                  const std::vector<double>& scores,
                                  double keep_fraction) {
     if (candidates.empty()) return {};
+    // clamp passes NaN through, and ceil(NaN) cast to size_t is undefined.
+    if (std::isnan(keep_fraction)) keep_fraction = 0.0;
     keep_fraction = std::clamp(keep_fraction, 1e-9, 1.0);
     const std::size_t keep = std::max<std::size_t>(
         1, static_cast<std::size_t>(

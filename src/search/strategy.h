@@ -1,8 +1,8 @@
 // Pluggable point-selection strategies for the search driver.
 //
 // All three are deterministic functions of their explicit inputs (universe
-// size, seeds, scores) — never of thread count or wall clock — so every shard
-// of a sharded search derives the identical candidate and survivor sets.
+// size, seeds, scores) — never of thread count or wall clock — so a search
+// selects the identical candidate and survivor sets at any thread count.
 //
 //   exhaustive          evaluate every enumerated point at full budget
 //   random_sample       evaluate a seeded uniform sample of the universe
@@ -36,8 +36,8 @@ std::vector<std::size_t> sample_indices(std::size_t universe, std::size_t count,
 // Successive-halving promotion: keep the best ceil(keep_fraction * n) of
 // `candidates` ranked by ascending score (lower is better; ties break toward
 // the lower candidate index), returned ascending. `scores` is parallel to
-// `candidates`. keep_fraction is clamped to (0, 1]; at least one candidate
-// survives a non-empty rung.
+// `candidates`. keep_fraction is clamped to (0, 1], and NaN keeps the fewest;
+// at least one candidate survives a non-empty rung.
 std::vector<std::size_t> promote(const std::vector<std::size_t>& candidates,
                                  const std::vector<double>& scores,
                                  double keep_fraction);

@@ -6,8 +6,8 @@
 // system kind, the effective soc_config, the workload's content fingerprint,
 // the dynamic length and the seed — so a repeated identical evaluation
 // (a re-sent serve request, a design-space grid point that coincides with a
-// registry scenario, a resumed search) returns the reduced result without
-// re-simulating. Point *names* are excluded from the key and patched back in
+// registry scenario) returns the reduced result without re-simulating.
+// Point *names* are excluded from the key and patched back in
 // from the requesting spec, so two names wrapping the same experiment share
 // one cache entry yet each sees its own name in the outcome.
 //

@@ -388,8 +388,7 @@ child_process::~child_process() {
 }
 
 std::unique_ptr<child_process> child_process::spawn(
-    const std::vector<std::string>& argv, const spawn_options& opts,
-    std::string* error) {
+    const std::vector<std::string>& argv, std::string* error) {
     ignore_sigpipe();
     if (argv.empty()) {
         if (error) *error = "spawn wants a non-empty argv";
@@ -434,13 +433,7 @@ std::unique_ptr<child_process> child_process::spawn(
             }
         };
         wire(to_child[0], STDIN_FILENO);
-        if (opts.stdout_to_null) {
-            const int null_fd = ::open("/dev/null", O_WRONLY);
-            if (null_fd >= 0) wire(null_fd, STDOUT_FILENO);
-            if (null_fd >= 0 && null_fd != STDOUT_FILENO) ::close(null_fd);
-        } else {
-            wire(from_child[1], STDOUT_FILENO);
-        }
+        wire(from_child[1], STDOUT_FILENO);
         for (const int fd : {to_child[0], to_child[1], from_child[0], from_child[1]}) {
             if (fd != STDIN_FILENO && fd != STDOUT_FILENO) ::close(fd);
         }
@@ -480,10 +473,6 @@ int child_process::wait() {
         status_ = -1;
     }
     return status_;
-}
-
-void child_process::kill() {
-    if (pid_ >= 0 && !reaped_) ::kill(pid_, SIGKILL);
 }
 
 // ------------------------------------------------------------ accept loop ---

@@ -12,8 +12,7 @@
 //                      `fd_stream` per client connection;
 //   * `connect_endpoint` — the client side of the same two address families;
 //   * `child_process`    — a worker subprocess with its stdin/stdout wired to
-//                      an `fd_stream`, the process transport of sharded
-//                      search dispatch (`meek_search --workers`);
+//                      an `fd_stream` (a `meek_serve` child over stdio);
 //   * `serve_connections` — the accept loop that turns a serve::service into
 //                      a network daemon (`meek_serve --listen`).
 //
@@ -127,13 +126,6 @@ std::unique_ptr<fd_stream> connect_endpoint(const endpoint_address& addr,
 
 // --------------------------------------------------------- child process ---
 
-struct spawn_options {
-    // Redirect the child's stdout to /dev/null instead of the pipe — for
-    // workers driven through side-channel files (sharded search) whose stdout
-    // is noise to the parent.
-    bool stdout_to_null = false;
-};
-
 // A worker subprocess: argv[0] is resolved via PATH, the child's stdin is the
 // stream's write side and its stdout the read side; stderr passes through.
 class child_process {
@@ -143,7 +135,6 @@ public:
     child_process& operator=(const child_process&) = delete;
 
     static std::unique_ptr<child_process> spawn(const std::vector<std::string>& argv,
-                                                const spawn_options& opts = {},
                                                 std::string* error = nullptr);
 
     fd_stream& io() { return *io_; }
@@ -152,8 +143,6 @@ public:
     // Wait for exit; returns the exit status (or -signal when killed). Safe
     // to call once; subsequent calls return the cached status.
     int wait();
-
-    void kill();  // SIGKILL, for tests and shutdown paths
 
 private:
     child_process(int pid, std::unique_ptr<fd_stream> io)

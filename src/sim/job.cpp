@@ -42,6 +42,10 @@ run_outcome run_meek(const soc_config& cfg, const program& prog) {
     return out;
 }
 
+// cost_hint's per-instruction multiplier for a MEEK SoC with `little_cores`
+// checkers: a MEEK job also steps the fabric and every checker core.
+double meek_cost_factor(u32 little_cores) { return 1.5 + 0.25 * little_cores; }
+
 }  // namespace
 
 run_outcome execute(const run_spec& spec) {
@@ -111,7 +115,5 @@ double cost_hint(const run_spec& spec) {
     const soc_config cfg = spec.soc_override ? *spec.soc_override : spec.sc.soc();
     return base * meek_cost_factor(cfg.num_little_cores);
 }
-
-double meek_cost_factor(u32 little_cores) { return 1.5 + 0.25 * little_cores; }
 
 }  // namespace meek::sim

@@ -1,11 +1,9 @@
 // Search-layer tests: Pareto dominance edge cases, strategy determinism,
-// point enumeration/dedup, thread-count-invariant frontiers, and the
-// shard-checkpoint/resume round-trip of the sharded driver.
+// point enumeration/dedup, and frontiers that are bit-identical at any
+// thread count under every strategy.
 #include <gtest/gtest.h>
 
-#include <filesystem>
-#include <fstream>
-#include <sstream>
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -105,6 +103,9 @@ TEST(strategy, promote_keeps_best_fraction_by_score) {
               (std::vector<std::size_t>{3, 5}));
     // At least one candidate survives a non-empty rung.
     EXPECT_EQ(search::promote(candidates, scores, 1e-12).size(), 1u);
+    // NaN keeps the fewest, never every point.
+    EXPECT_EQ(search::promote(candidates, scores, std::nan("")),
+              (std::vector<std::size_t>{5}));
 }
 
 // ----------------------------------------------------------------- point ---
@@ -227,7 +228,6 @@ TEST(search_driver, an_aborted_point_is_reported_but_never_ranked) {
 
     sim::executor ex(2);
     const search::search_result r = search::run_search(points, quick_opts(), ex);
-    ASSERT_TRUE(r.complete);
     ASSERT_EQ(r.evaluated.size(), 2u);
     const search::point_result& one = r.evaluated[0];
     EXPECT_NE(one.name.find("/1c/"), std::string::npos) << one.name;
@@ -236,24 +236,6 @@ TEST(search_driver, an_aborted_point_is_reported_but_never_ranked) {
     EXPECT_TRUE(r.evaluated[1].error.empty());
     EXPECT_EQ(r.frontier, std::vector<std::size_t>{1});
     EXPECT_NE(search::to_ndjson(r, false).find("\"error\""), std::string::npos);
-
-    // The error survives a sharded run's checkpoint merge, whichever shard
-    // measured the errored point.
-    const std::string dir = ::testing::TempDir() + "meek_search_errored";
-    for (const u32 first : {0u, 1u}) {
-        std::filesystem::remove_all(dir);
-        search::search_options shard = quick_opts();
-        shard.shard_count = 2;
-        shard.checkpoint_dir = dir;
-        shard.shard_index = first;
-        ASSERT_FALSE(search::run_search(points, shard, ex).complete);
-        shard.shard_index = 1 - first;
-        const search::search_result merged = search::run_search(points, shard, ex);
-        ASSERT_TRUE(merged.complete);
-        EXPECT_EQ(merged.evaluated[0].error, one.error);
-        EXPECT_EQ(search::to_ndjson(merged, false), search::to_ndjson(r, false));
-    }
-    std::filesystem::remove_all(dir);
 
     // Successive halving never promotes it either.
     search::search_options halving = quick_opts();
@@ -266,24 +248,29 @@ TEST(search_driver, an_aborted_point_is_reported_but_never_ranked) {
 
 TEST(search_driver, frontier_is_bit_identical_at_any_thread_count) {
     const auto points = quick_points();
-    const auto opts = quick_opts();
     sim::executor one(1);
     sim::executor four(4);
-    const search::search_result a = search::run_search(points, opts, one);
-    const search::search_result b = search::run_search(points, opts, four);
+    for (const search::strategy_kind kind :
+         {search::strategy_kind::exhaustive, search::strategy_kind::random_sample,
+          search::strategy_kind::successive_halving}) {
+        SCOPED_TRACE(search::strategy_name(kind));
+        search::search_options opts = quick_opts();
+        opts.strategy = kind;
+        opts.sample_count = 3;
+        opts.halving_keep = 0.5;
+        const search::search_result a = search::run_search(points, opts, one);
+        const search::search_result b = search::run_search(points, opts, four);
 
-    ASSERT_TRUE(a.complete);
-    ASSERT_TRUE(b.complete);
-    EXPECT_FALSE(a.frontier.empty());
-    EXPECT_EQ(search::to_csv(a, false), search::to_csv(b, false));
-    EXPECT_EQ(search::to_ndjson(a, true), search::to_ndjson(b, true));
+        EXPECT_FALSE(a.frontier.empty());
+        EXPECT_EQ(search::to_csv(a, false), search::to_csv(b, false));
+        EXPECT_EQ(search::to_ndjson(a, true), search::to_ndjson(b, true));
+    }
 }
 
 TEST(search_driver, probe_measures_coverage_on_meek_points) {
     const auto points = quick_points();
     sim::executor ex(4);
     const search::search_result r = search::run_search(points, quick_opts(), ex);
-    ASSERT_TRUE(r.complete);
     ASSERT_EQ(r.evaluated.size(), points.size());
     for (const search::point_result& p : r.evaluated) {
         EXPECT_EQ(p.probe_detected + p.probe_masked, 3u) << p.name;
@@ -291,101 +278,6 @@ TEST(search_driver, probe_measures_coverage_on_meek_points) {
         EXPECT_GT(p.area_mm2, 0.0) << p.name;
         EXPECT_GT(p.slowdown, 1.0) << p.name;
     }
-}
-
-TEST(search_driver, sharded_checkpoints_merge_byte_identical_to_unsharded) {
-    const std::string dir = ::testing::TempDir() + "meek_search_shards";
-    std::filesystem::remove_all(dir);
-    const auto points = quick_points();
-    sim::executor ex(4);
-
-    const search::search_result whole =
-        search::run_search(points, quick_opts(), ex);
-    ASSERT_TRUE(whole.complete);
-
-    search::search_options shard0 = quick_opts();
-    shard0.shard_count = 2;
-    shard0.shard_index = 0;
-    shard0.checkpoint_dir = dir;
-    const search::search_result first = search::run_search(points, shard0, ex);
-    EXPECT_FALSE(first.complete) << "shard 1's points are not evaluated yet";
-    ASSERT_EQ(first.missing_shards, (std::vector<u32>{1}));
-
-    search::search_options shard1 = shard0;
-    shard1.shard_index = 1;
-    const search::search_result merged = search::run_search(points, shard1, ex);
-    ASSERT_TRUE(merged.complete) << "shard 0's checkpoints satisfy its points";
-    EXPECT_EQ(search::to_csv(merged, false), search::to_csv(whole, false));
-    EXPECT_EQ(search::to_csv(merged, true), search::to_csv(whole, true));
-
-    // A resumed re-run of either shard simulates nothing and still matches.
-    shard1.resume = true;
-    const search::search_result resumed = search::run_search(points, shard1, ex);
-    ASSERT_TRUE(resumed.complete);
-    EXPECT_EQ(resumed.resumed_points, points.size() / 2);
-    EXPECT_EQ(search::to_csv(resumed, false), search::to_csv(whole, false));
-    std::filesystem::remove_all(dir);
-}
-
-TEST(search_driver, checkpoints_from_a_different_search_setup_are_ignored) {
-    const std::string dir = ::testing::TempDir() + "meek_search_foreign";
-    std::filesystem::remove_all(dir);
-    const auto points = quick_points();
-    sim::executor ex(4);
-
-    search::search_options opts = quick_opts();
-    opts.checkpoint_dir = dir;
-    opts.resume = true;
-    const search::search_result first = search::run_search(points, opts, ex);
-    ASSERT_TRUE(first.complete);
-    EXPECT_EQ(first.resumed_points, 0u);
-
-    // Same directory, different instruction budget: nothing may be trusted.
-    search::search_options other = opts;
-    other.instructions = 11'000;
-    const search::search_result fresh = search::run_search(points, other, ex);
-    ASSERT_TRUE(fresh.complete);
-    EXPECT_EQ(fresh.resumed_points, 0u) << "foreign checkpoints must be re-run";
-
-    // That run re-stamped the files with its own context, so the original
-    // setup re-simulates once more — and only then resumes, bit-identically.
-    const search::search_result restamp = search::run_search(points, opts, ex);
-    EXPECT_EQ(restamp.resumed_points, 0u);
-    const search::search_result again = search::run_search(points, opts, ex);
-    EXPECT_EQ(again.resumed_points, points.size());
-    EXPECT_EQ(search::to_csv(again, false), search::to_csv(first, false));
-    std::filesystem::remove_all(dir);
-}
-
-TEST(search_driver, checkpoints_with_an_older_header_version_are_re_evaluated) {
-    // v1 files hold coverage from an earlier probe engine under the same
-    // context fingerprint: they must be simulated again, never trusted.
-    const std::string dir = ::testing::TempDir() + "meek_search_v1";
-    std::filesystem::remove_all(dir);
-    const auto points = quick_points();
-    sim::executor ex(4);
-
-    search::search_options opts = quick_opts();
-    opts.checkpoint_dir = dir;
-    opts.resume = true;
-    const search::search_result first = search::run_search(points, opts, ex);
-    ASSERT_TRUE(first.complete);
-    EXPECT_EQ(search::run_search(points, opts, ex).resumed_points, points.size());
-
-    const std::string victim = dir + "/point_0_r0.ckpt";
-    std::ostringstream body;
-    body << std::ifstream(victim).rdbuf();
-    std::string text = body.str();
-    const std::string current = "meek-search-ckpt v2\n";
-    ASSERT_EQ(text.rfind(current, 0), 0u) << text;
-    text.replace(0, current.size(), "meek-search-ckpt v1\n");
-    std::ofstream(victim, std::ios::trunc) << text;
-
-    const search::search_result rerun = search::run_search(points, opts, ex);
-    ASSERT_TRUE(rerun.complete);
-    EXPECT_EQ(rerun.resumed_points, points.size() - 1) << "the v1 point re-simulates";
-    EXPECT_EQ(search::to_csv(rerun, false), search::to_csv(first, false));
-    std::filesystem::remove_all(dir);
 }
 
 TEST(search_driver, a_probe_above_one_shard_of_faults_never_nests_a_batch) {
@@ -399,7 +291,6 @@ TEST(search_driver, a_probe_above_one_shard_of_faults_never_nests_a_batch) {
     sim::executor two(2);
     const search::search_result a = search::run_search(points, opts, one);
     const search::search_result b = search::run_search(points, opts, two);
-    ASSERT_TRUE(a.complete);
     for (const search::point_result& p : a.evaluated) {
         EXPECT_EQ(p.probe_detected + p.probe_masked, 51u) << p.name;
     }
@@ -413,7 +304,6 @@ TEST(search_driver, random_sampling_evaluates_the_seeded_subset) {
     opts.strategy = search::strategy_kind::random_sample;
     opts.sample_count = 2;
     const search::search_result r = search::run_search(points, opts, ex);
-    ASSERT_TRUE(r.complete);
     EXPECT_EQ(r.evaluated.size(), 2u);
     EXPECT_EQ(r.pruned, points.size() - 2);
 }
@@ -426,7 +316,6 @@ TEST(search_driver, successive_halving_prunes_before_the_full_budget_rung) {
     opts.halving_keep = 0.5;
     opts.halving_divisor = 4;
     const search::search_result r = search::run_search(points, opts, ex);
-    ASSERT_TRUE(r.complete);
     EXPECT_EQ(r.evaluated.size(), 2u) << "ceil(0.5 * 4) survivors";
     EXPECT_EQ(r.pruned, 2u);
     for (const search::point_result& p : r.evaluated) {
@@ -450,7 +339,6 @@ TEST(search_driver, frontier_beats_the_registry_best_on_area_x_slowdown) {
     search::search_options opts = quick_opts();
     opts.instructions = 15'000;
     const search::search_result r = search::run_search(points, opts, ex);
-    ASSERT_TRUE(r.complete);
 
     double best_registry = 1e300;
     double best_registry_coverage = 0.0;

@@ -229,7 +229,7 @@ TEST(transport_socket, live_unix_path_is_not_stolen_but_stale_one_is_reclaimed) 
 
 TEST(transport_process, meek_serve_child_round_trips_a_batch_over_stdio) {
     std::string error;
-    auto child = serve::child_process::spawn({MEEK_SERVE_BIN, "--quiet"}, {}, &error);
+    auto child = serve::child_process::spawn({MEEK_SERVE_BIN, "--quiet"}, &error);
     ASSERT_NE(child, nullptr) << error;
 
     const std::vector<std::string> lines = {

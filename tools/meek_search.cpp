@@ -1,5 +1,4 @@
-// meek_search — sharded design-space exploration with a Pareto-frontier
-// reducer.
+// meek_search — design-space exploration with a Pareto-frontier reducer.
 //
 // Enumerates every scenario in the sim registry plus off-registry MEEK points
 // from a declarative parameter grid, evaluates each point on one workload
@@ -9,19 +8,11 @@
 //
 //   meek_search                                  default grid, exhaustive
 //   meek_search --strategy halving --keep 0.25   cheap rung, then survivors
-//   meek_search --shard 0/4 --checkpoint-dir d   evaluate every 4th point
-//   meek_search --workers 4 --checkpoint-dir d   spawn 4 shard processes,
-//                                                wait, merge — one command
+//   meek_search --threads 4                      evaluate on 4 threads
 //
-// Sharding: each `--shard k/n` invocation evaluates its slice and persists
-// per-point checkpoints; the invocation that finds every other shard's
-// checkpoints present emits the complete merged frontier, byte-identical to
-// an unsharded run. `--resume` also reuses this shard's own completed
-// checkpoints, so a killed shard restarts at its first missing point.
-// `--workers n` is the single-command form of the same protocol: it spawns n
-// copies of this invocation as `--shard k/n` child processes (the serve
-// layer's process-endpoint transport), waits for them, and then emits the
-// merged frontier itself.
+// The sweep runs in this process; `--threads` is the only parallelism.
+// Numeric flags must parse whole and in range (`--instructions` >= 1,
+// `--keep` in (0, 1]); a bad value is a usage error (exit 2, no rows).
 //
 // stdout carries only result rows (CSV by default, `--format ndjson` for
 // line-delimited JSON; `--all` emits dominated rows too, with a frontier 0/1
@@ -35,13 +26,15 @@
 //   --grid freq=1600,2000 checker clock (MHz)
 // With no --grid flags the default sweep applies (lsl x depth x freq around
 // the Table II point); --no-registry restricts the universe to grid points.
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "search/dispatch.h"
 #include "search/driver.h"
 #include "serve/outcome_cache.h"
 #include "sim/executor.h"
@@ -59,10 +52,26 @@ int usage(const char* argv0) {
         "          [--sample-seed N] [--keep F] [--budget-div N]\n"
         "          [--probe-faults N] [--probe-seed N]\n"
         "          [--grid key=v1,v2,...] [--no-registry]\n"
-        "          [--shard K/N | --workers N] [--checkpoint-dir DIR] [--resume]\n"
         "          [--threads N] [--format csv|ndjson] [--all]\n",
         argv0);
     return 2;
+}
+
+// A numeric flag's value: the whole token as a T in [lo, hi] (no sign on an
+// unsigned type, no trailing characters, no overflow, never NaN), or a usage
+// error that exits 2 before anything reaches stdout.
+template <typename T>
+T parse_number(const char* argv0, const char* flag, std::string_view text, T lo,
+               T hi = std::numeric_limits<T>::max()) {
+    T value{};
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (ec != std::errc{} || ptr != end || !(value >= lo && value <= hi)) {
+        std::fprintf(stderr, "bad %s value '%.*s'\n", flag,
+                     static_cast<int>(text.size()), text.data());
+        std::exit(usage(argv0));
+    }
+    return value;
 }
 
 }  // namespace
@@ -74,8 +83,6 @@ int main(int argc, char** argv) {
     bool include_registry = true;
     bool frontier_only = true;
     bool ndjson = false;
-    bool shard_given = false;
-    u32 workers = 0;
     u32 threads = 0;
 
     for (int i = 1; i < argc; ++i) {
@@ -87,29 +94,33 @@ int main(int argc, char** argv) {
             }
             return argv[++i];
         };
+        auto number_flag = [&]<typename T>(const char* flag, T lo,
+                                           T hi = std::numeric_limits<T>::max()) {
+            return parse_number(argv[0], flag, next_value(flag), lo, hi);
+        };
         if (arg == "--workload") {
             opts.workload = next_value("--workload");
         } else if (arg == "--instructions") {
-            opts.instructions = std::strtoull(next_value("--instructions"), nullptr, 10);
+            opts.instructions = number_flag("--instructions", u64{1});
         } else if (arg == "--seed") {
-            opts.seed = std::strtoull(next_value("--seed"), nullptr, 10);
+            opts.seed = number_flag("--seed", u64{0});
         } else if (arg == "--strategy") {
             const auto kind = search::parse_strategy(next_value("--strategy"));
             if (!kind) return usage(argv[0]);
             opts.strategy = *kind;
         } else if (arg == "--samples") {
-            opts.sample_count = std::strtoull(next_value("--samples"), nullptr, 10);
+            opts.sample_count = number_flag("--samples", std::size_t{0});
         } else if (arg == "--sample-seed") {
-            opts.sample_seed = std::strtoull(next_value("--sample-seed"), nullptr, 10);
+            opts.sample_seed = number_flag("--sample-seed", u64{0});
         } else if (arg == "--keep") {
-            opts.halving_keep = std::strtod(next_value("--keep"), nullptr);
+            // (0, 1]: the smallest positive double is the open lower bound.
+            opts.halving_keep = number_flag("--keep", std::nextafter(0.0, 1.0), 1.0);
         } else if (arg == "--budget-div") {
-            opts.halving_divisor = std::strtoull(next_value("--budget-div"), nullptr, 10);
+            opts.halving_divisor = number_flag("--budget-div", u64{0});
         } else if (arg == "--probe-faults") {
-            opts.probe.faults =
-                static_cast<u32>(std::strtoul(next_value("--probe-faults"), nullptr, 10));
+            opts.probe.faults = number_flag("--probe-faults", u32{0});
         } else if (arg == "--probe-seed") {
-            opts.probe.seed = std::strtoull(next_value("--probe-seed"), nullptr, 10);
+            opts.probe.seed = number_flag("--probe-seed", u64{0});
         } else if (arg == "--grid") {
             const char* spec = next_value("--grid");
             std::string error;
@@ -120,27 +131,10 @@ int main(int argc, char** argv) {
             grid_given = true;
         } else if (arg == "--no-registry") {
             include_registry = false;
-        } else if (arg == "--shard") {
-            const char* v = next_value("--shard");
-            char* end = nullptr;
-            opts.shard_index = static_cast<u32>(std::strtoul(v, &end, 10));
-            if (end == nullptr || *end != '/') return usage(argv[0]);
-            opts.shard_count = static_cast<u32>(std::strtoul(end + 1, nullptr, 10));
-            if (opts.shard_count == 0 || opts.shard_index >= opts.shard_count) {
-                std::fprintf(stderr, "--shard wants K/N with K < N\n");
-                return 2;
-            }
-            shard_given = true;
-        } else if (arg == "--workers") {
-            workers = static_cast<u32>(std::strtoul(next_value("--workers"), nullptr, 10));
-        } else if (arg == "--checkpoint-dir") {
-            opts.checkpoint_dir = next_value("--checkpoint-dir");
-        } else if (arg == "--resume") {
-            opts.resume = true;
         } else if (arg == "--threads") {
-            threads = static_cast<u32>(std::strtoul(next_value("--threads"), nullptr, 10));
+            threads = number_flag("--threads", u32{0});
         } else if (arg.rfind("--threads=", 0) == 0) {
-            threads = static_cast<u32>(std::strtoul(arg.c_str() + 10, nullptr, 10));
+            threads = parse_number(argv[0], "--threads", arg.c_str() + 10, u32{0});
         } else if (arg == "--format") {
             const std::string v = next_value("--format");
             if (v == "ndjson") {
@@ -159,51 +153,7 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "unknown workload '%s'\n", opts.workload.c_str());
         return 1;
     }
-    if (opts.shard_count > 1 && opts.checkpoint_dir.empty()) {
-        std::fprintf(stderr, "--shard needs --checkpoint-dir to merge across runs\n");
-        return 2;
-    }
-    if (workers > 0 && shard_given) {
-        std::fprintf(stderr, "--workers spawns its own --shard children; pick one\n");
-        return 2;
-    }
-    if (workers > 1 && opts.checkpoint_dir.empty()) {
-        std::fprintf(stderr, "--workers needs --checkpoint-dir for the shard merge\n");
-        return 2;
-    }
     if (!grid_given) grid = search::default_grid();
-
-    if (workers > 1) {
-        // Re-issue this exact invocation as one child per shard (minus the
-        // --workers flag), wait, then fall through and merge: with every
-        // checkpoint present the search below simulates nothing.
-        search::shard_dispatch_options dispatch;
-        dispatch.shard_count = workers;
-        for (int i = 0; i < argc; ++i) {
-            if (std::strcmp(argv[i], "--workers") == 0) {
-                ++i;  // skip the value too
-                continue;
-            }
-            dispatch.argv_base.emplace_back(argv[i]);
-        }
-        std::fprintf(stderr, "# dispatching %u shard worker(s)\n", workers);
-        const search::shard_dispatch_result spawned = search::dispatch_shards(dispatch);
-        if (!spawned.ok) {
-            if (!spawned.error.empty()) {
-                std::fprintf(stderr, "shard dispatch failed: %s\n", spawned.error.c_str());
-            }
-            for (std::size_t k = 0; k < spawned.exit_codes.size(); ++k) {
-                if (spawned.exit_codes[k] != 0) {
-                    std::fprintf(stderr, "shard %zu/%u exited with %d\n", k, workers,
-                                 spawned.exit_codes[k]);
-                }
-            }
-            return 1;
-        }
-        opts.shard_index = 0;
-        opts.shard_count = workers;
-        opts.resume = true;
-    }
 
     const std::vector<search::design_point> points =
         search::enumerate_points(grid, include_registry);
@@ -216,24 +166,13 @@ int main(int argc, char** argv) {
     serve::outcome_cache outcomes;
     std::fprintf(stderr,
                  "# universe: %zu points (%s registry), strategy %s, workload %s, "
-                 "%llu instr, probe %u faults, shard %u/%u, %u thread(s)\n",
+                 "%llu instr, probe %u faults, %u thread(s)\n",
                  points.size(), include_registry ? "with" : "no",
                  search::strategy_name(opts.strategy), opts.workload.c_str(),
                  static_cast<unsigned long long>(opts.instructions),
-                 opts.probe.faults, opts.shard_index, opts.shard_count,
-                 ex.num_threads());
+                 opts.probe.faults, ex.num_threads());
 
     const search::search_result result = search::run_search(points, opts, ex, &outcomes);
-
-    if (!result.complete) {
-        std::fprintf(stderr, "# shard %u/%u done; waiting for shard(s):",
-                     opts.shard_index, opts.shard_count);
-        for (const u32 s : result.missing_shards) std::fprintf(stderr, " %u", s);
-        std::fprintf(stderr,
-                     "\n# re-run the missing shards against the same "
-                     "--checkpoint-dir, then any shard emits the merged frontier\n");
-        return 0;
-    }
 
     const std::string rendered = ndjson ? search::to_ndjson(result, frontier_only)
                                         : search::to_csv(result, frontier_only);
@@ -247,12 +186,11 @@ int main(int argc, char** argv) {
     const serve::outcome_cache_stats os = outcomes.stats();
     const sim::executor_timing t = ex.timing();
     std::fprintf(stderr,
-                 "# evaluated=%zu pruned=%zu resumed=%llu frontier=%zu\n"
+                 "# evaluated=%zu pruned=%zu frontier=%zu\n"
                  "# outcomes: hits=%llu misses=%llu hit_rate=%.1f%%\n"
                  "# job wall-time ms: min=%.2f mean=%.2f max=%.2f total=%.2f\n",
-                 result.evaluated.size(), result.pruned,
-                 static_cast<unsigned long long>(result.resumed_points),
-                 result.frontier.size(), static_cast<unsigned long long>(os.hits),
+                 result.evaluated.size(), result.pruned, result.frontier.size(),
+                 static_cast<unsigned long long>(os.hits),
                  static_cast<unsigned long long>(os.misses), 100.0 * os.hit_rate(),
                  t.min_ms, t.mean_ms, t.max_ms, t.total_ms);
     return 0;
