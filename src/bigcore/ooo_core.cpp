@@ -83,6 +83,9 @@ run_result ooo_core::run(const run_limits& limits, commit_sink* sink) {
     bool after_redirect = false;
     u64 executed = 0;
     const bool* const stop = limits.stop;
+    // One record for the whole run: every field is either assigned for each
+    // instruction or reset below, so it is not value-initialized per commit.
+    commit_record record;
 
     while (!halted_ && executed < limits.max_instructions && !*stop &&
            last_commit_cycle_ < limits.max_cycles) {
@@ -167,11 +170,16 @@ run_result ooo_core::run(const run_limits& limits, commit_sink* sink) {
         const cycle_t issue = fus_.reserve(klass, src_ready, lat);
         cycle_t complete = issue + lat.latency;
 
-        commit_record record;
         record.seq = seq_;
         record.pc = pc;
         record.ins = ins;
         record.mem = out.mem;
+        record.reg_write = false;
+        record.rd_value = 0;
+        record.load_data = 0;
+        record.load_parity = 0;
+        record.csr_read = false;
+        record.csr_value = 0;
 
         if (out.mem && !out.mem->is_store) {
             // Load: try store-to-load forwarding, else the cache hierarchy.

@@ -62,9 +62,17 @@ constexpr i64 sign_extend(u64 v, unsigned n) {
 }
 
 // Even parity over all 64 bits (1 when an odd number of bits is set), mirroring
-// the cache parity bits the paper copies into the LSQ.
+// the cache parity bits the paper copies into the LSQ. An xor-fold rather than
+// std::popcount: without -mpopcnt that is an out-of-line libgcc call, and
+// this runs on every committed load and every delivered packet.
 constexpr u8 parity64(u64 v) {
-    return static_cast<u8>(std::popcount(v) & 1);
+    v ^= v >> 32;
+    v ^= v >> 16;
+    v ^= v >> 8;
+    v ^= v >> 4;
+    v ^= v >> 2;
+    v ^= v >> 1;
+    return static_cast<u8>(v & 1);
 }
 
 constexpr bool is_pow2(u64 v) {

@@ -310,7 +310,7 @@ program assemble(std::string_view source, addr_t text_base) {
     if (!pending_entry_label.empty()) {
         builder.set_entry(builder.label_address(pending_entry_label));
     }
-    return builder.build();
+    return std::move(builder).build();
 }
 
 }  // namespace meek

@@ -1,6 +1,7 @@
 #include "isa/program.h"
 
 #include <bit>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
 
@@ -67,11 +68,10 @@ void program_builder::add_data(addr_t base, std::vector<u8> bytes) {
 }
 
 void program_builder::add_data_words(addr_t base, const std::vector<u64>& words) {
-    std::vector<u8> bytes;
-    bytes.reserve(words.size() * 8);
-    for (u64 w : words) {
-        for (int i = 0; i < 8; ++i) bytes.push_back(static_cast<u8>(w >> (8 * i)));
-    }
+    static_assert(std::endian::native == std::endian::little,
+                  "data images are little-endian; a host u64 copies as-is");
+    std::vector<u8> bytes(words.size() * sizeof(u64));
+    if (!words.empty()) std::memcpy(bytes.data(), words.data(), bytes.size());
     add_data(base, std::move(bytes));
 }
 
@@ -88,7 +88,7 @@ addr_t program_builder::label_address(const std::string& name) const {
     return it->second;
 }
 
-program program_builder::build() {
+program program_builder::build() && {
     for (const fixup& f : fixups_) {
         const auto it = labels_.find(f.target);
         if (it == labels_.end()) {
@@ -102,7 +102,7 @@ program program_builder::build() {
         prog_.text[f.index].imm = static_cast<i32>(offset);
     }
     if (!entry_set_) prog_.entry = prog_.text_base;
-    return prog_;
+    return std::move(prog_);
 }
 
 }  // namespace meek

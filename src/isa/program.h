@@ -65,6 +65,7 @@ public:
     void emit_lfd(areg_t fd, areg_t scratch_x, double value);
 
     void add_data(addr_t base, std::vector<u8> bytes);
+    // Little-endian image of `words` at `base` (one bulk copy).
     void add_data_words(addr_t base, const std::vector<u64>& words);
 
     void set_entry(addr_t pc);
@@ -72,9 +73,10 @@ public:
     // Address of a previously-defined label; throws if undefined.
     addr_t label_address(const std::string& name) const;
 
-    // Resolves all label references; throws std::runtime_error on undefined
-    // labels or offset overflow.
-    program build();
+    // Resolves all label references and hands the program out by move, so
+    // the builder is spent: call it as `std::move(b).build()`. Throws
+    // std::runtime_error on undefined labels or offset overflow.
+    program build() &&;
 
 private:
     struct fixup {

@@ -48,6 +48,28 @@ double meek_cost_factor(u32 little_cores) { return 1.5 + 0.25 * little_cores; }
 
 }  // namespace
 
+std::string outcome_invariant_error(const run_outcome& out, system_kind system,
+                                    u32 commit_width) {
+    const double ipc = out.cycles == 0 ? 0.0
+                                       : static_cast<double>(out.instructions) /
+                                             static_cast<double>(out.cycles);
+    if (out.ipc != ipc) {
+        return "invariant: ipc " + std::to_string(out.ipc) + " != instructions/cycles " +
+               std::to_string(ipc);
+    }
+    if (system == system_kind::meek && out.verified_ok &&
+        out.replayed_instructions != out.instructions) {
+        return "invariant: verified run replayed " + std::to_string(out.replayed_instructions) +
+               " of " + std::to_string(out.instructions) + " instructions";
+    }
+    if (out.cycles * commit_width < out.instructions) {
+        return "invariant: " + std::to_string(out.instructions) + " instructions in " +
+               std::to_string(out.cycles) + " cycles exceed commit width " +
+               std::to_string(commit_width);
+    }
+    return {};
+}
+
 run_outcome execute(const run_spec& spec) {
     // Pull the workload through the spec's provider when one is attached
     // (shared cache), otherwise generate a private copy.
@@ -64,6 +86,7 @@ run_outcome execute(const run_spec& spec) {
     const soc_config cfg = spec.soc_override ? *spec.soc_override : spec.sc.soc();
 
     run_outcome out;
+    u32 commit_width = cfg.big.commit_width;
     switch (spec.sc.system) {
         case system_kind::vanilla:
             out = run_big_core(cfg.big, wl.prog);
@@ -72,8 +95,9 @@ run_outcome execute(const run_spec& spec) {
             out = run_meek(cfg, wl.prog);
             break;
         case system_kind::ea_lockstep: {
-            const area_model areas;
-            out = run_big_core(areas.ea_lockstep_config(cfg), wl.prog);
+            const big_core_config big = area_model{}.ea_lockstep_config(cfg);
+            commit_width = big.commit_width;
+            out = run_big_core(big, wl.prog);
             break;
         }
         case system_kind::nzdc: {
@@ -85,6 +109,9 @@ run_outcome execute(const run_spec& spec) {
             out = run_big_core(cfg.big, transformed.prog);
             break;
         }
+    }
+    if (!out.skipped && out.error.empty()) {
+        out.error = outcome_invariant_error(out, spec.sc.system, commit_width);
     }
     out.scenario = spec.sc.name;
     out.workload = spec.workload.name;

@@ -60,7 +60,16 @@ struct run_outcome {
 };
 
 // Build SoC -> run -> reduce. Safe to call concurrently from executor workers.
+// An outcome that breaks outcome_invariant_error comes back as an error.
 run_outcome execute(const run_spec& spec);
+
+// Consistency checks every outcome that ran must pass: ipc equals
+// instructions / cycles (0 when cycles is 0); a verified MEEK run replayed
+// exactly the committed instructions; and the simulated core, whose commit
+// width is `commit_width`, committed no more than that per cycle. Returns a
+// description of the first violation, or an empty string.
+std::string outcome_invariant_error(const run_outcome& out, system_kind system,
+                                    u32 commit_width);
 
 // Fan a batch of specs out across `ex`'s workers; results come back in spec
 // order regardless of scheduling. Submission is cost-hinted (longest spec

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <numeric>
 
 #include "common/bits.h"
 #include "common/rng.h"
@@ -186,23 +188,30 @@ generated_workload generate_workload(const workload_profile& prof,
     const u64 mask = (std::max<u64>(64, std::bit_floor(ws_bytes)) - 1) & ~u64{7};
 
     // --- Pointer-chase table (Sattolo single-cycle permutation) ---
-    // 16-byte nodes: next pointer at +0, store payload at +8. Used by
-    // irregular accesses; capped so test-suite generation stays cheap.
+    // 16-byte nodes: next pointer at +0, store payload at +8 (zero). Used by
+    // irregular accesses. The table covers at most 4 MiB, i.e. 2^18 nodes, so
+    // node indices fit a u32; the cap bounds the image every run loads.
+    // Each node's pointer is written straight into the final image bytes.
     const addr_t chase_base = k_default_data_base + 0x10000000;
+    constexpr u64 chase_max_bytes = 4ull << 20;
+    static_assert(chase_max_bytes / 16 <= std::numeric_limits<u32>::max());
     const u64 chase_nodes =
-        std::max<u64>(16, std::min<u64>(ws_bytes, 4ull << 20) / 16);
+        std::max<u64>(16, std::min<u64>(ws_bytes, chase_max_bytes) / 16);
     if (prof.irregular_frac > 0.0) {
-        std::vector<u64> perm(chase_nodes);
-        for (u64 i = 0; i < chase_nodes; ++i) perm[i] = i;
+        std::vector<u32> perm(chase_nodes);
+        std::iota(perm.begin(), perm.end(), u32{0});
         for (u64 i = chase_nodes - 1; i > 0; --i) {
             const u64 j = r.below(i);  // Sattolo: j < i gives one full cycle
             std::swap(perm[i], perm[j]);
         }
-        std::vector<u64> words(2 * chase_nodes, 0);
+        static_assert(std::endian::native == std::endian::little,
+                      "data images are little-endian; a host u64 copies as-is");
+        std::vector<u8> image(16 * chase_nodes, 0);
         for (u64 i = 0; i < chase_nodes; ++i) {
-            words[2 * i] = chase_base + perm[i] * 16;
+            const u64 next = chase_base + u64{perm[i]} * 16;
+            std::memcpy(image.data() + 16 * i, &next, sizeof next);
         }
-        b.add_data_words(chase_base, words);
+        b.add_data(chase_base, std::move(image));
     }
 
     // --- Prologue ---
@@ -364,12 +373,10 @@ generated_workload generate_workload(const workload_profile& prof,
     for (u64& w : init_words) w = r.next();
     b.add_data_words(k_default_data_base, init_words);
 
-    program prog = b.build();
-    prog.text[li_count_index].imm = static_cast<i32>(
-        std::min<u64>(iterations, std::numeric_limits<i32>::max()));
-
     generated_workload out;
-    out.prog = std::move(prog);
+    out.prog = std::move(b).build();
+    out.prog.text[li_count_index].imm = static_cast<i32>(
+        std::min<u64>(iterations, std::numeric_limits<i32>::max()));
     out.expected_dynamic_instructions =
         static_cast<u64>(body_dynamic * static_cast<double>(iterations));
     out.static_block_size = body_static;

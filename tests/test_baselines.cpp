@@ -111,7 +111,7 @@ TEST(nzdc, expansion_is_near_two_for_alu_code) {
         b.emit(make_r(opcode::add, 5, 6, 7));
     }
     b.emit(make_sys(opcode::halt));
-    const nzdc_program t = transform_nzdc(b.build());
+    const nzdc_program t = transform_nzdc(std::move(b).build());
     // Every ALU op duplicated: 200 + prologue + halt + handler.
     EXPECT_GT(t.stats.expansion(), 1.8);
     EXPECT_EQ(t.stats.duplicated, 100u);
@@ -121,7 +121,7 @@ TEST(nzdc, rejects_programs_using_shadow_registers) {
     program_builder b;
     b.emit(make_r(opcode::add, 20, 5, 6));  // x20 is in the shadow set
     b.emit(make_sys(opcode::halt));
-    const program p = b.build();
+    const program p = std::move(b).build();
     EXPECT_THROW(transform_nzdc(p), std::invalid_argument);
 }
 

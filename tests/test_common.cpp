@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <deque>
 #include <filesystem>
 #include <fstream>
@@ -71,6 +72,26 @@ TEST(bits, parity64) {
     for (int i = 0; i < 64; ++i) {
         const u64 v = r.next();
         EXPECT_NE(parity64(v), parity64(v ^ (u64{1} << i)));
+    }
+}
+
+TEST(bits, parity64_matches_popcount) {
+    const auto reference = [](u64 v) { return static_cast<u8>(std::popcount(v) & 1); };
+    for (unsigned i = 0; i < 64; ++i) {
+        const u64 one = u64{1} << i;
+        for (const u64 v : {one, one - 1, ~one, ~(one - 1), one | 1, one ^ (u64{1} << 63)}) {
+            EXPECT_EQ(parity64(v), reference(v)) << std::hex << v;
+        }
+    }
+    for (const u64 v : {u64{0}, ~u64{0}, u64{0x5555555555555555}, u64{0xAAAAAAAAAAAAAAAA},
+                        u64{0x8000000000000001}, u64{0x0123456789ABCDEF}}) {
+        EXPECT_EQ(parity64(v), reference(v)) << std::hex << v;
+    }
+    static_assert(parity64(0x7) == 1 && parity64(0xF0F0) == 0);
+    rng r(2024);
+    for (int i = 0; i < 10'000; ++i) {
+        const u64 v = r.next();
+        ASSERT_EQ(parity64(v), reference(v)) << std::hex << v;
     }
 }
 

@@ -24,7 +24,7 @@ program mem_heavy_loop(int iterations) {
     b.emit(make_i(opcode::addi, 1, 1, -1));
     b.emit_branch(opcode::bne, 1, 0, "loop");
     b.emit(make_sys(opcode::halt));
-    return b.build();
+    return std::move(b).build();
 }
 
 TEST(soc_integration, lsl_full_drives_segmentation) {
@@ -49,7 +49,7 @@ TEST(soc_integration, timeout_drives_segmentation_for_alu_code) {
     b.emit(make_i(opcode::addi, 1, 1, -1));
     b.emit_branch(opcode::bne, 1, 0, "loop");
     b.emit(make_sys(opcode::halt));
-    const program p = b.build();
+    const program p = std::move(b).build();
     soc.load_program(p);
     const auto r = soc.run();
     ASSERT_TRUE(r.verified_ok);

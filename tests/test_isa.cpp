@@ -197,7 +197,7 @@ TEST(program_builder, emit_li_small_and_large) {
         program_builder b;
         b.emit_li(5, v);
         b.emit(make_sys(opcode::halt));
-        const program p = b.build();
+        const program p = std::move(b).build();
         // Interpret the li sequence functionally.
         u64 reg = 0;
         for (const instr& ins : p.text) {
@@ -217,14 +217,14 @@ TEST(program_builder, forward_label_fixups) {
     b.emit(make_nop());
     b.label("target");
     b.emit(make_sys(opcode::halt));
-    const program p = b.build();
+    const program p = std::move(b).build();
     EXPECT_EQ(p.text[0].imm, 16);  // two instructions ahead
 }
 
 TEST(program_builder, undefined_label_throws) {
     program_builder b;
     b.emit_jal(0, "nowhere");
-    EXPECT_THROW(b.build(), std::runtime_error);
+    EXPECT_THROW(std::move(b).build(), std::runtime_error);
 }
 
 TEST(program_builder, duplicate_label_throws) {
@@ -276,7 +276,10 @@ TEST(assembler, memory_operands_and_data) {
     ASSERT_EQ(p.data.size(), 1u);
     EXPECT_EQ(p.data[0].base, 0x2000000u);
     EXPECT_EQ(p.data[0].bytes.size(), 16u);
-    EXPECT_EQ(p.data[0].bytes[0], 0x88);
+    EXPECT_EQ(p.data[0].bytes[0], 0x88);  // little-endian words
+    EXPECT_EQ(p.data[0].bytes[7], 0x11);
+    EXPECT_EQ(p.data[0].bytes[8], 42);
+    EXPECT_EQ(p.data[0].bytes[15], 0);
 }
 
 TEST(assembler, meek_instructions) {

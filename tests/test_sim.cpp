@@ -217,6 +217,7 @@ TEST(sim_jobs, execute_reduces_every_system_kind) {
         EXPECT_EQ(out.workload, p.name);
         EXPECT_GT(out.cycles, 0u) << sc.name;
         EXPECT_GT(out.instructions, 0u) << sc.name;
+        EXPECT_TRUE(out.error.empty()) << sc.name << ": " << out.error;  // invariants hold
     }
 }
 
@@ -287,6 +288,54 @@ TEST(sim_jobs, kernel_outcomes_match_the_pinned_golden) {
         ++rows;
     }
     EXPECT_EQ(rows, 16u);
+}
+
+TEST(sim_jobs, outcome_invariants_accept_consistent_outcomes) {
+    sim::run_outcome o;
+    EXPECT_EQ(sim::outcome_invariant_error(o, sim::system_kind::vanilla, 4), "");  // empty run
+    o.cycles = 1000;
+    o.instructions = 4000;  // exactly commit width 4 per cycle
+    o.ipc = 4.0;
+    EXPECT_EQ(sim::outcome_invariant_error(o, sim::system_kind::vanilla, 4), "");
+    o.instructions = 1234;
+    o.ipc = 1234.0 / 1000.0;
+    o.verified_ok = true;
+    o.replayed_instructions = 1234;
+    EXPECT_EQ(sim::outcome_invariant_error(o, sim::system_kind::meek, 4), "");
+    // Replay counts bind only verified MEEK runs.
+    o.replayed_instructions = 0;
+    EXPECT_EQ(sim::outcome_invariant_error(o, sim::system_kind::ea_lockstep, 4), "");
+    o.verified_ok = false;
+    EXPECT_EQ(sim::outcome_invariant_error(o, sim::system_kind::meek, 4), "");
+}
+
+TEST(sim_jobs, outcome_invariants_name_each_violation) {
+    sim::run_outcome o;
+    o.cycles = 1000;
+    o.instructions = 1500;
+    o.ipc = 1.5;
+
+    sim::run_outcome bad_ipc = o;
+    bad_ipc.ipc = 1.5000001;
+    EXPECT_NE(sim::outcome_invariant_error(bad_ipc, sim::system_kind::vanilla, 4).find("ipc"),
+              std::string::npos);
+    sim::run_outcome ipc_without_cycles;
+    ipc_without_cycles.ipc = 1.0;
+    EXPECT_NE(sim::outcome_invariant_error(ipc_without_cycles, sim::system_kind::nzdc, 4), "");
+
+    sim::run_outcome short_replay = o;
+    short_replay.verified_ok = true;
+    short_replay.replayed_instructions = 1499;
+    EXPECT_NE(sim::outcome_invariant_error(short_replay, sim::system_kind::meek, 4).find("replayed"),
+              std::string::npos);
+
+    // 1500 instructions in 1000 cycles fit width 2 but not width 1.
+    EXPECT_EQ(sim::outcome_invariant_error(o, sim::system_kind::ea_lockstep, 2), "");
+    EXPECT_NE(sim::outcome_invariant_error(o, sim::system_kind::ea_lockstep, 1).find("commit width"),
+              std::string::npos);
+    sim::run_outcome no_cycles;
+    no_cycles.instructions = 1;
+    EXPECT_NE(sim::outcome_invariant_error(no_cycles, sim::system_kind::vanilla, 4), "");
 }
 
 }  // namespace

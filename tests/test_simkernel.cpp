@@ -34,7 +34,7 @@ program loop_program(int iterations) {
     b.emit(make_i(opcode::addi, 1, 1, -1));
     b.emit_branch(opcode::bne, 1, 0, "loop");
     b.emit(make_sys(opcode::halt));
-    return b.build();
+    return std::move(b).build();
 }
 
 // Field-for-field comparison of two runs that must be bit-identical. Every

@@ -32,7 +32,7 @@ program loop_program(int iterations) {
     b.emit(make_i(opcode::addi, 1, 1, -1));
     b.emit_branch(opcode::bne, 1, 0, "loop");
     b.emit(make_sys(opcode::halt));
-    return b.build();
+    return std::move(b).build();
 }
 
 TEST(soc_smoke, fault_free_run_verifies) {

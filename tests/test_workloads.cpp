@@ -4,7 +4,13 @@
 // over every workload).
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <string>
+
 #include "bigcore/ooo_core.h"
+#include "common/bits.h"
 #include "meek/soc.h"
 #include "workloads/generator.h"
 
@@ -169,6 +175,53 @@ TEST(generator, instruction_budget_is_respected) {
         EXPECT_GT(r.instructions, target / 2);
         EXPECT_LT(r.instructions, target * 2);
     }
+}
+
+// One row of tests/data/workload_images_expected.csv: the generated
+// program's shape plus an FNV-1a digest over encode() of every instruction
+// and every data blob's base and bytes.
+std::string image_row(const workload_profile& p, u64 instructions, u64 seed) {
+    const generated_workload wl = generate_workload(p, instructions, seed);
+    fnv1a h;
+    for (const instr& ins : wl.prog.text) h.u(encode(ins));
+    std::string blob_bytes;
+    for (const data_blob& blob : wl.prog.data) {
+        h.u(blob.base);
+        h.bytes(blob.bytes.data(), blob.bytes.size());
+        if (!blob_bytes.empty()) blob_bytes += ';';
+        blob_bytes += std::to_string(blob.bytes.size());
+    }
+    char digest[17];
+    std::snprintf(digest, sizeof digest, "%016llx", static_cast<unsigned long long>(h.h));
+    return p.name + ',' + std::to_string(instructions) + ',' + std::to_string(seed) + ',' +
+           std::to_string(wl.prog.text.size()) + ',' + blob_bytes + ',' +
+           std::to_string(wl.expected_dynamic_instructions) + ',' +
+           std::to_string(wl.static_block_size) + ',' + digest;
+}
+
+// Every profile x length {1k, 12k, 100k} x seed {1, 5, 0xC0FFEE} regenerates
+// exactly the pinned program image: a rewrite of the generator or the
+// program builder may change how bytes are produced, never which.
+TEST(generator, images_match_the_pinned_golden) {
+    std::ifstream in(std::filesystem::path(MEEK_DATA_DIR) / "workload_images_expected.csv");
+    ASSERT_TRUE(in) << "missing workload_images_expected.csv";
+    std::string line;
+    std::getline(in, line);
+    EXPECT_EQ(line,
+              "profile,instructions,seed,text_size,blob_bytes,"
+              "expected_dynamic_instructions,static_block_size,digest");
+    std::size_t rows = 0;
+    for (const workload_profile& p : all_profiles()) {
+        for (const u64 instructions : {1'000ull, 12'000ull, 100'000ull}) {
+            for (const u64 seed : {1ull, 5ull, 0xC0FFEEull}) {
+                ASSERT_TRUE(std::getline(in, line)) << "golden ends early";
+                EXPECT_EQ(image_row(p, instructions, seed), line);
+                ++rows;
+            }
+        }
+    }
+    EXPECT_FALSE(std::getline(in, line)) << "golden has extra rows";
+    EXPECT_EQ(rows, 180u);
 }
 
 }  // namespace
