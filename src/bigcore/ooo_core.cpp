@@ -24,7 +24,7 @@ ooo_core::ooo_core(const big_core_config& cfg, functional_memory& memory)
 void ooo_core::load_program(const program& prog) {
     prog_ = &prog;
     for (const data_blob& blob : prog.data) {
-        memory_.write_block(blob.base, blob.bytes.data(), blob.bytes.size());
+        memory_.map_image(blob.base, blob.bytes.data(), blob.bytes.size());
     }
     // Mirror the text segment into memory so the checker cores fetch the same
     // bytes the big core runs.

@@ -84,9 +84,14 @@ class ooo_core {
 public:
     ooo_core(const big_core_config& cfg, functional_memory& memory);
 
-    // Installs the program: data blobs are written to memory, PC moves to the
-    // entry point, the stack pointer (x2) to the default stack top.
+    // Installs the program: data blobs are mapped into memory by reference
+    // (copy-on-write, see functional_memory.h), the text is written to
+    // memory, PC moves to the entry point, the stack pointer (x2) to the
+    // default stack top. The core keeps reading `prog`'s text and data
+    // bytes, so `prog` must outlive the core and its memory and must not
+    // change while they are in use; a temporary does not compile.
     void load_program(const program& prog);
+    void load_program(program&&) = delete;
 
     // Runs until halt or a limit; resumable (state persists across calls).
     run_result run(const run_limits& limits, commit_sink* sink = nullptr);

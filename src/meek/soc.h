@@ -74,8 +74,11 @@ public:
     meek_soc(const soc_config& cfg);
 
     // Loads the application program onto the big core (and makes the text
-    // visible to the little cores' fetch path).
+    // visible to the little cores' fetch path). The SoC's memory reads
+    // `prog`'s data bytes in place, so `prog` must outlive the SoC and must
+    // not change while it runs; a temporary does not compile.
     void load_program(const program& prog);
+    void load_program(program&&) = delete;
 
     // b.check: enable/disable the checking capacity.
     void set_checking(bool enabled);

@@ -8,6 +8,11 @@ namespace meek {
 namespace {
 
 constexpr std::size_t k_initial_slots = 64;
+constexpr std::size_t k_blocks_per_chunk = 64;  // 8 KiB chunks of private blocks
+
+// Accesses copy a u64's bytes in memory order: byte i of the access is byte i
+// of the value only on a little-endian host.
+static_assert(std::endian::native == std::endian::little);
 
 }  // namespace
 
@@ -50,7 +55,7 @@ functional_memory::page& functional_memory::touch_page(addr_t addr) {
             grow();
             i = probe(num);
         }
-        pages_.push_back(std::make_unique<page>());  // value-initialized: zeros
+        pages_.push_back(std::make_unique<page>());
         table_[i] = {num, pages_.back().get()};
     }
     last_touch_num_ = num;
@@ -58,49 +63,88 @@ functional_memory::page& functional_memory::touch_page(addr_t addr) {
     return *last_touch_;
 }
 
-u8 functional_memory::read_byte(addr_t addr) const {
-    const page* p = find_page(addr);
-    return p ? (*p)[addr % k_page_bytes] : 0;
+void functional_memory::copy_out(const page& p, u32 off, u8* dst, u32 n) {
+    if (const u8* block = p.blocks[off / k_block_bytes]) {
+        std::memcpy(dst, block + off % k_block_bytes, n);
+        return;
+    }
+    const u32 lo = std::max<u32>(off, p.image_lo);
+    const u32 hi = std::min<u32>(off + n, p.image_hi);
+    if (lo < hi) std::memcpy(dst + (lo - off), p.image + (lo - p.image_lo), hi - lo);
 }
 
-void functional_memory::write_byte(addr_t addr, u8 value) {
-    touch_page(addr)[addr % k_page_bytes] = value;
+u8* functional_memory::writable(page& p, u32 off) {
+    u8*& block = p.blocks[off / k_block_bytes];
+    if (!block) {
+        if (private_blocks_ % k_blocks_per_chunk == 0) {
+            chunks_.push_back(std::make_unique<u8[]>(k_blocks_per_chunk * k_block_bytes));
+        }
+        u8* copy = chunks_.back().get() + private_blocks_ % k_blocks_per_chunk * k_block_bytes;
+        ++private_blocks_;
+        copy_out(p, off - off % k_block_bytes, copy, k_block_bytes);
+        block = copy;
+    }
+    return block + off % k_block_bytes;
 }
+
+u8 functional_memory::read_byte(addr_t addr) const {
+    return static_cast<u8>(read(addr, 1));
+}
+
+void functional_memory::write_byte(addr_t addr, u8 value) { write(addr, 1, value); }
 
 u64 functional_memory::read(addr_t addr, u8 size) const {
-    const u64 off = addr % k_page_bytes;
-    if (off + size <= k_page_bytes) {
-        // Common case: the access stays within one page, so a single lookup
+    u64 value = 0;
+    u8* dst = reinterpret_cast<u8*>(&value);
+    const u32 off = addr % k_page_bytes;
+    if (off % k_block_bytes + size <= k_block_bytes) {
+        // Common case: the access stays within one block, so a single lookup
         // covers every byte.
-        const page* p = find_page(addr);
-        if (!p) return 0;
-        u64 value = 0;
-        std::memcpy(&value, p->data() + off, size);  // little-endian host
+        if (const page* p = find_page(addr)) copy_out(*p, off, dst, size);
         return value;
     }
-    u64 value = 0;
-    for (u8 i = 0; i < size; ++i) {
-        value |= static_cast<u64>(read_byte(addr + i)) << (8 * i);
+    for (u32 done = 0; done < size;) {
+        const addr_t a = addr + done;
+        const u32 o = a % k_page_bytes;
+        const u32 n = std::min<u32>(size - done, k_block_bytes - o % k_block_bytes);
+        if (const page* p = find_page(a)) copy_out(*p, o, dst + done, n);
+        done += n;
     }
     return value;
 }
 
 void functional_memory::write(addr_t addr, u8 size, u64 value) {
-    const u64 off = addr % k_page_bytes;
-    if (off + size <= k_page_bytes) {
-        std::memcpy(touch_page(addr).data() + off, &value, size);
+    const u32 off = addr % k_page_bytes;
+    if (off % k_block_bytes + size <= k_block_bytes) {
+        std::memcpy(writable(touch_page(addr), off), &value, size);
         return;
     }
-    for (u8 i = 0; i < size; ++i) {
-        write_byte(addr + i, static_cast<u8>(value >> (8 * i)));
+    store(addr, reinterpret_cast<const u8*>(&value), size);
+}
+
+void functional_memory::store(addr_t addr, const u8* data, std::size_t len) {
+    while (len != 0) {
+        const u32 off = addr % k_page_bytes;
+        const std::size_t n = std::min<std::size_t>(len, k_block_bytes - off % k_block_bytes);
+        std::memcpy(writable(touch_page(addr), off), data, n);
+        addr += n;
+        data += n;
+        len -= n;
     }
 }
 
-void functional_memory::write_block(addr_t addr, const u8* data, std::size_t len) {
+void functional_memory::map_image(addr_t addr, const u8* data, std::size_t len) {
     while (len != 0) {
-        const std::size_t off = addr % k_page_bytes;
+        const u32 off = addr % k_page_bytes;
         const std::size_t n = std::min<std::size_t>(len, k_page_bytes - off);
-        std::memcpy(touch_page(addr).data() + off, data, n);
+        if (find_page(addr)) {
+            store(addr, data, n);
+        } else {
+            page& p = touch_page(addr);
+            p.image = data;
+            p.image_lo = static_cast<u16>(off);
+            p.image_hi = static_cast<u16>(off + n);
+        }
         addr += n;
         data += n;
         len -= n;

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
 #include <vector>
 
 #include "area/area_model.h"
@@ -36,11 +37,182 @@ TEST(functional_memory, cross_page_access) {
     EXPECT_EQ(m.allocated_pages(), 2u);
 }
 
-TEST(functional_memory, write_block) {
+// Deterministic pseudo-random image bytes.
+std::vector<u8> image_bytes(std::size_t len, u64 seed) {
+    rng r(seed);
+    std::vector<u8> bytes(len);
+    for (u8& b : bytes) b = static_cast<u8>(r.next());
+    return bytes;
+}
+
+constexpr addr_t k_page = functional_memory::k_page_bytes;
+constexpr addr_t k_block = functional_memory::k_block_bytes;
+
+TEST(functional_memory, reads_go_through_a_mapped_image) {
+    const std::vector<u8> image = image_bytes(3 * k_page, 1);
     functional_memory m;
-    const u8 data[] = {1, 2, 3, 4, 5};
-    m.write_block(0x2000, data, sizeof data);
-    for (u8 i = 0; i < 5; ++i) EXPECT_EQ(m.read_byte(0x2000 + i), i + 1);
+    m.map_image(0x10000, image.data(), image.size());
+    EXPECT_EQ(m.allocated_pages(), 3u);
+    EXPECT_EQ(m.private_blocks(), 0u);
+    for (std::size_t i = 0; i < image.size(); ++i) {
+        ASSERT_EQ(m.read_byte(0x10000 + i), image[i]) << i;
+    }
+    for (std::size_t i = 0; i < image.size(); i += 8) {
+        u64 word = 0;
+        std::memcpy(&word, image.data() + i, 8);
+        ASSERT_EQ(m.read(0x10000 + i, 8), word) << i;
+    }
+    EXPECT_EQ(m.read(0x10000 - 8, 8), 0u);  // below and above the image
+    EXPECT_EQ(m.read(0x10000 + image.size(), 8), 0u);
+    EXPECT_EQ(m.private_blocks(), 0u);  // reads never copy
+}
+
+TEST(functional_memory, a_write_copies_only_its_block_and_never_the_source) {
+    std::vector<u8> image = image_bytes(2 * k_page, 2);
+    const std::vector<u8> original = image;
+    functional_memory m;
+    m.map_image(0x20000, image.data(), image.size());
+
+    const addr_t at = 0x20000 + 3 * k_block + 16;
+    m.write(at, 8, 0x0123456789ABCDEFull);
+    EXPECT_EQ(m.private_blocks(), 1u);
+    EXPECT_EQ(image, original);
+    EXPECT_EQ(m.read(at, 8), 0x0123456789ABCDEFull);
+    // The rest of the copied block and its neighbours still read the image.
+    for (addr_t a = 0x20000 + 2 * k_block; a < 0x20000 + 5 * k_block; ++a) {
+        if (a >= at && a < at + 8) continue;
+        ASSERT_EQ(m.read_byte(a), image[a - 0x20000]) << a;
+    }
+    m.write(at + 8, 8, 0);  // same block again: no second copy
+    EXPECT_EQ(m.private_blocks(), 1u);
+    EXPECT_EQ(m.allocated_pages(), 2u);
+}
+
+TEST(functional_memory, accesses_spanning_block_and_page_boundaries_over_an_image) {
+    std::vector<u8> image = image_bytes(2 * k_page, 3);
+    const std::vector<u8> original = image;
+    functional_memory m;
+    const addr_t base = 0x40000;
+    m.map_image(base, image.data(), image.size());
+    const auto image_word = [&](addr_t a) {
+        u64 word = 0;
+        std::memcpy(&word, image.data() + (a - base), 8);
+        return word;
+    };
+
+    for (const addr_t a : {base + k_block - 4, base + k_page - 4}) {
+        SCOPED_TRACE(a);
+        EXPECT_EQ(m.read(a, 8), image_word(a));
+        const std::size_t blocks = m.private_blocks();
+        m.write(a, 8, 0xAABBCCDDEEFF0011ull);
+        EXPECT_EQ(m.private_blocks(), blocks + 2);  // both halves copied
+        EXPECT_EQ(m.read(a, 8), 0xAABBCCDDEEFF0011ull);
+        EXPECT_EQ(m.read(a - 8, 8), image_word(a - 8));
+        EXPECT_EQ(m.read(a + 8, 8), image_word(a + 8));
+    }
+    EXPECT_EQ(image, original);
+    EXPECT_EQ(m.allocated_pages(), 2u);
+}
+
+TEST(functional_memory, a_page_written_before_it_is_mapped_takes_the_image_bytes) {
+    const std::vector<u8> image = image_bytes(0x200, 4);
+    functional_memory m;
+    m.write(0x3000, 8, 0x1111111111111111ull);  // outside the blob
+    m.write(0x3100, 8, 0x2222222222222222ull);  // inside it
+    m.map_image(0x3080, image.data(), image.size());
+    EXPECT_EQ(m.read(0x3000, 8), 0x1111111111111111ull);
+    for (std::size_t i = 0; i < image.size(); ++i) {
+        ASSERT_EQ(m.read_byte(0x3080 + i), image[i]) << i;
+    }
+    EXPECT_EQ(m.read_byte(0x3080 + image.size()), 0);
+    EXPECT_EQ(m.allocated_pages(), 1u);
+}
+
+TEST(functional_memory, overlapping_blobs_the_later_one_wins) {
+    std::vector<u8> first = image_bytes(2 * k_page, 5);
+    std::vector<u8> second = image_bytes(100, 6);
+    const std::vector<u8> first_copy = first, second_copy = second;
+    functional_memory m;
+    m.map_image(0x50000, first.data(), first.size());
+    const addr_t at = 0x50000 + k_page - 40;  // straddles the page boundary
+    m.map_image(at, second.data(), second.size());
+    for (addr_t a = 0x50000; a < 0x50000 + first.size(); ++a) {
+        const bool in_second = a >= at && a < at + second.size();
+        ASSERT_EQ(m.read_byte(a), in_second ? second[a - at] : first[a - 0x50000]) << a;
+    }
+    EXPECT_EQ(first, first_copy);
+    EXPECT_EQ(second, second_copy);
+}
+
+TEST(functional_memory, unaligned_blob_head_and_tail_read_zero_around_the_image) {
+    const std::vector<u8> image = image_bytes(k_page + 100, 7);
+    functional_memory m;
+    const addr_t base = 0x5010;  // head and tail both mid-page, mid-block
+    m.map_image(base, image.data(), image.size());
+    EXPECT_EQ(m.allocated_pages(), 2u);
+    EXPECT_EQ(m.read_byte(base - 1), 0);
+    EXPECT_EQ(m.read_byte(base + image.size()), 0);
+    for (std::size_t i = 0; i < image.size(); ++i) {
+        ASSERT_EQ(m.read_byte(base + i), image[i]) << i;
+    }
+    // 8-byte reads that straddle each edge mix zeros and image bytes.
+    for (const addr_t a : {base - 4, base + image.size() - 4}) {
+        u64 expect = 0;
+        for (u32 i = 0; i < 8; ++i) {
+            const addr_t b = a + i;
+            const u8 byte = b >= base && b < base + image.size() ? image[b - base] : 0;
+            expect |= static_cast<u64>(byte) << (8 * i);
+        }
+        EXPECT_EQ(m.read(a, 8), expect) << a;
+    }
+    // A write across the tail copies the partial block and zero-fills past it.
+    const addr_t tail = base + image.size() - 2;
+    m.write(tail, 4, 0xDDCCBBAAu);
+    EXPECT_EQ(m.read(tail - 2, 8),
+              (u64{0xDDCCBBAA} << 16) | image[image.size() - 4] |
+                  (u64{image[image.size() - 3]} << 8));
+}
+
+TEST(functional_memory, mapping_touches_the_pages_writes_would) {
+    const std::vector<u8> image = image_bytes(3 * k_page + 777, 8);
+    for (const addr_t base : {addr_t{0x8000}, addr_t{0x8123}, addr_t{0x8FFF}}) {
+        functional_memory mapped, written;
+        mapped.map_image(base, image.data(), image.size());
+        for (std::size_t i = 0; i < image.size(); ++i) written.write_byte(base + i, image[i]);
+        EXPECT_EQ(mapped.allocated_pages(), written.allocated_pages()) << base;
+        for (addr_t a = base - 64; a < base + image.size() + 64; a += 8) {
+            ASSERT_EQ(mapped.read(a, 8), written.read(a, 8)) << a;
+        }
+    }
+}
+
+// Random maps, reads and writes of every size and alignment over a few
+// pages, against a flat byte array.
+TEST(functional_memory, random_accesses_match_a_flat_reference) {
+    constexpr addr_t base = 0x70000;
+    constexpr std::size_t span = 4 * k_page;
+    std::vector<u8> ref(span, 0);
+    std::vector<std::vector<u8>> images;
+    functional_memory m;
+    rng r(9);
+    for (int step = 0; step < 20'000; ++step) {
+        const u8 size = u8{1} << r.below(4);
+        const addr_t off = r.below(span - 8);
+        if (step % 2000 == 0) {
+            const std::size_t len = 1 + r.below(span - off);
+            images.push_back(image_bytes(len, step));
+            m.map_image(base + off, images.back().data(), len);
+            std::copy(images.back().begin(), images.back().end(), ref.begin() + off);
+        } else if (r.chance(0.3)) {
+            const u64 value = r.next();
+            m.write(base + off, size, value);
+            std::memcpy(ref.data() + off, &value, size);
+        } else {
+            u64 expect = 0;
+            std::memcpy(&expect, ref.data() + off, size);
+            ASSERT_EQ(m.read(base + off, size), expect) << "step " << step;
+        }
+    }
 }
 
 TEST(functional_memory, partial_writes_preserve_neighbors) {

@@ -6,12 +6,14 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/bits.h"
 #include "fault/campaign.h"
 #include "report/runner.h"
 #include "sim/executor.h"
@@ -288,6 +290,71 @@ TEST(sim_jobs, kernel_outcomes_match_the_pinned_golden) {
         ++rows;
     }
     EXPECT_EQ(rows, 16u);
+}
+
+// Serves one shared program to every job, like a session workload cache.
+struct one_program : workload_source {
+    std::shared_ptr<const generated_workload> wl;
+    std::shared_ptr<const generated_workload> workload_for(const workload_profile&, u64,
+                                                           u64) override {
+        return wl;
+    }
+};
+
+u64 blob_digest(const program& prog) {
+    fnv1a h;
+    for (const data_blob& blob : prog.data) h.bytes(blob.bytes.data(), blob.bytes.size());
+    return h.h;
+}
+
+// Every SoC maps the program's data image by reference and copies only the
+// blocks it writes: SoCs running one program at once on several threads must
+// neither see each other's stores nor change the program's bytes.
+TEST(sim_jobs, concurrent_socs_over_one_program_share_its_image_read_only) {
+    const workload_profile& p = *find_profile("dedup");
+    one_program source;
+    source.wl = std::make_shared<const generated_workload>(generate_workload(p, 15'000, 3));
+    const u64 digest = blob_digest(source.wl->prog);
+
+    std::vector<sim::run_spec> specs;
+    for (int i = 0; i < 8; ++i) {
+        sim::run_spec spec;
+        spec.sc = i % 2 ? sim::vanilla_scenario() : sim::meek_scenario(4);
+        spec.workload = p;
+        spec.instructions = 15'000;
+        spec.workload_seed = 3;
+        spec.workloads = &source;
+        specs.push_back(spec);
+    }
+    sim::executor ex(4);
+    const std::vector<sim::run_outcome> shared = sim::execute_all(ex, specs);
+    EXPECT_EQ(blob_digest(source.wl->prog), digest);
+
+    for (std::size_t i = 0; i < shared.size(); ++i) {
+        SCOPED_TRACE(i);
+        sim::run_spec private_spec = specs[i];
+        private_spec.workloads = nullptr;  // the job generates its own copy
+        const sim::run_outcome& a = shared[i];
+        const sim::run_outcome b = sim::execute(private_spec);
+        EXPECT_TRUE(a.error.empty()) << a.error;
+        EXPECT_EQ(a.scenario, b.scenario);
+        EXPECT_EQ(a.workload, b.workload);
+        EXPECT_EQ(a.cycles, b.cycles);
+        EXPECT_EQ(a.instructions, b.instructions);
+        EXPECT_EQ(a.ipc, b.ipc);
+        EXPECT_EQ(a.verified_ok, b.verified_ok);
+        EXPECT_EQ(a.stats.segments_started, b.stats.segments_started);
+        EXPECT_EQ(a.stats.segments_verified, b.stats.segments_verified);
+        EXPECT_EQ(a.stats.segments_failed, b.stats.segments_failed);
+        EXPECT_EQ(a.stats.errors_detected, b.stats.errors_detected);
+        EXPECT_EQ(a.stats.stall_collecting, b.stats.stall_collecting);
+        EXPECT_EQ(a.stats.stall_forwarding, b.stats.stall_forwarding);
+        EXPECT_EQ(a.stats.stall_checker, b.stats.stall_checker);
+        EXPECT_EQ(a.replayed_instructions, b.replayed_instructions);
+        EXPECT_EQ(a.checker_compute_cycles, b.checker_compute_cycles);
+        EXPECT_EQ(a.skipped, b.skipped);
+        EXPECT_EQ(a.error, b.error);
+    }
 }
 
 TEST(sim_jobs, outcome_invariants_accept_consistent_outcomes) {
