@@ -1,6 +1,6 @@
 // Constant-memory log-bucketed latency histogram: the percentile engine under
 // every latency metric in the harness (service stages, pool queue-wait/run
-// time, serve_bench load generation).
+// time).
 //
 // Bucketing scheme (log-linear, HdrHistogram-style): values are non-negative
 // integers (nanoseconds by convention). The first octave is exact — values

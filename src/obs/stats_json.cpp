@@ -42,8 +42,7 @@ std::string histogram_json(const log_histogram& h) {
     return w.str();
 }
 
-std::string stats_json(const metrics_snapshot& snap, const slo_report* slo,
-                       const std::string* admission_json) {
+std::string stats_json(const metrics_snapshot& snap) {
     serve::json_object_writer w;
     w.field("schema", "meek.stats.v1");
     w.field_raw("counters", flat_object(snap.counters));
@@ -53,8 +52,6 @@ std::string stats_json(const metrics_snapshot& snap, const slo_report* slo,
         hists.field_raw(e.name, histogram_json(e.hist));
     }
     w.field_raw("histograms", hists.str());
-    if (slo != nullptr) w.field_raw("slo", slo_json(*slo));
-    if (admission_json != nullptr) w.field_raw("admission", *admission_json);
     return w.str();
 }
 

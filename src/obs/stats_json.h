@@ -16,30 +16,18 @@
 // through serve::json (which keeps integers exact), and an export of
 // deterministic values is byte-deterministic: categories and members are
 // sorted by name, bucket rows by bucket index.
-// An optional "slo" section (see obs/slo.h) rides after "histograms" when a
-// tool was started with an --slo spec; absent otherwise, so existing
-// consumers are untouched. An optional "admission" section (a pre-serialized
-// object from serve::admission_controller::to_json — limits, live scale and
-// backlog, shed ledger) rides after "slo" the same way when a tool enables
-// admission control.
 #pragma once
 
 #include <string>
 
 #include "obs/metrics.h"
-#include "obs/slo.h"
 
 namespace meek::obs {
 
 // One histogram as a JSON object fragment (the value under "histograms").
 std::string histogram_json(const log_histogram& h);
 
-// The whole snapshot as one single-line JSON document. With a non-null
-// `slo`, the document gains an "slo" member holding slo_json(*slo); with a
-// non-null `admission_json`, an "admission" member holding that fragment
-// verbatim (it must be a complete JSON object).
-std::string stats_json(const metrics_snapshot& snap,
-                       const slo_report* slo = nullptr,
-                       const std::string* admission_json = nullptr);
+// The whole snapshot as one single-line JSON document.
+std::string stats_json(const metrics_snapshot& snap);
 
 }  // namespace meek::obs

@@ -308,12 +308,11 @@ std::string to_json(const response_row& row) {
     return w.str();
 }
 
-response_row overloaded_row(u64 request_index, u64 retry_after_ms, std::string id) {
+response_row overloaded_row(u64 request_index) {
     response_row row;
     row.request_index = request_index;
-    row.id = std::move(id);
     row.error = "overloaded";
-    row.retry_after_ms = retry_after_ms;
+    row.retry_after_ms = k_shed_retry_after_ms;
     return row;
 }
 

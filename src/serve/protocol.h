@@ -34,10 +34,10 @@
 //    "stall_collecting":..,"stall_forwarding":..,"stall_checker":..}
 // or, for a request that failed to parse or resolve:
 //   {"request":3,"repeat":0,"id":"client-tag","error":"unknown workload 'x'"}
-// or, for a request shed by admission control or the batch buffering caps
-// (one row, settling the whole request regardless of its repeats):
-//   {"request":5,"repeat":0,"id":"client-tag","error":"overloaded",
-//    "retry_after_ms":100}
+// or, for a request shed by the batch buffering caps (one row, settling the
+// whole request regardless of its repeats; no "id", since the line's content
+// was never parsed):
+//   {"request":5,"repeat":0,"error":"overloaded","retry_after_ms":100}
 #pragma once
 
 #include <iosfwd>
@@ -133,7 +133,7 @@ struct parsed_request {
 };
 parsed_request parse_request(std::string_view line);
 
-// Serialize a request back to its wire form (serve_bench builds batches with
+// Serialize a request back to its wire form (a client builds batches with
 // this; omits fields that hold their defaults only for id/knobs).
 std::string to_json(const run_request& req);
 
@@ -178,13 +178,15 @@ struct response_row {
 
 std::string to_json(const response_row& row);
 
-// The in-slot shed row: {"request":N,...,"error":"overloaded",
-// "retry_after_ms":M}. One of these settles a whole request (admission shed,
-// batch-limit overflow) regardless of its repeats.
-response_row overloaded_row(u64 request_index, u64 retry_after_ms,
-                            std::string id = {});
+// The resubmit hint carried by every shed ("overloaded") row.
+inline constexpr u64 k_shed_retry_after_ms = 100;
 
-// Parse a response row (the serve_bench client side, and round-trip tests).
+// The in-slot shed row: {"request":N,"repeat":0,"error":"overloaded",
+// "retry_after_ms":100}. One of these settles a whole request past the batch
+// caps regardless of its repeats.
+response_row overloaded_row(u64 request_index);
+
+// Parse a response row (the client side, and round-trip tests).
 // Returns nullopt and sets `error` on malformed input.
 std::optional<response_row> parse_response(std::string_view line,
                                            std::string* error = nullptr);

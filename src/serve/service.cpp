@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <deque>
 #include <istream>
+#include <mutex>
 #include <ostream>
 
 #include "common/log.h"
@@ -29,7 +30,7 @@ struct line_trace {
     u64 root_begin = 0;
 };
 
-// One request line, parsed/resolved/admitted into response slots: what the
+// One request line, parsed and resolved into response slots: what the
 // batch engine appends to its reorder window per line read.
 struct parsed_line {
     struct item {
@@ -40,21 +41,18 @@ struct parsed_line {
     };
     std::vector<item> items;          // in repeat order
     std::vector<sim::run_spec> specs;  // this line's dispatchable specs
-    bool admitted = false;            // counted into admission queue accounting
-    bool shed = false;                // settled with an "overloaded" row
 };
 
-// Parse one line into its response slots: stats probe, parse error, shed
-// "overloaded" row, or one slot per repeat with a resolved spec. Its tracer
-// ticks land on the line's own timeline, so virtual-clock traces do not
-// depend on when the engine gets to the line.
+// Parse one line into its response slots: stats probe, parse error, or one
+// slot per repeat with a resolved spec. Its tracer ticks land on the line's
+// own timeline, so virtual-clock traces do not depend on when the engine
+// gets to the line.
 parsed_line parse_one_line(std::string_view raw_line, std::size_t index,
                            u64 batch_seq, bool tracing, bool wall_clock,
                            obs::tracer& tracer,
                            obs::atomic_log_histogram& parse_ns,
                            obs::atomic_log_histogram& resolve_ns,
-                           workload_cache* cache, admission_controller& admission,
-                           line_trace* lt) {
+                           workload_cache* cache, line_trace* lt) {
     parsed_line out;
     const auto parse_start = clock::now();
     // Wall-mode span timestamps come from the tracer's own clock, and the
@@ -114,23 +112,6 @@ parsed_line parse_one_line(std::string_view raw_line, std::size_t index,
     }
 
     const run_request& req = parsed.request;
-
-    // Admission gate, at line-parse time: only lines that would queue real
-    // work are offered (stats probes stay free — they are how an operator
-    // watches an overloaded service; malformed lines never queue anything).
-    // A shed line settles with ONE row regardless of its repeats.
-    const admission_controller::decision gate =
-        admission.admit_line(raw_line.size(), req.repeats);
-    if (!gate.admit) {
-        parsed_line::item s;
-        s.row = overloaded_row(index, gate.retry_after_ms, req.id);
-        if (tracing) s.row.trace = {lt->root.trace_id, 0};
-        out.items.push_back(std::move(s));
-        out.shed = true;
-        return out;
-    }
-    out.admitted = true;
-
     for (u64 r = 0; r < req.repeats; ++r) {
         parsed_line::item s;
         s.row.request_index = index;
@@ -177,7 +158,6 @@ service::service(const service_options& opts)
     : opts_(opts),
       cache_(opts.cache_capacity),
       outcomes_(opts.outcome_capacity),
-      admission_(opts.admission),
       pool_(opts.threads) {}
 
 u64 service::run_batch(const line_source& next,
@@ -246,16 +226,15 @@ u64 service::run_batch(const line_source& next,
     };
 
     // The session thread's loop: read, parse, dispatch, line by line.
-    std::vector<u64> admitted_bytes;  // queue accounting, retired at batch end
-    u64 lines = 0, jobs = 0, shed = 0, overflow = 0;
+    u64 lines = 0, jobs = 0, shed = 0;
     bool any_stats_row = false;
     std::string_view line;
     for (slot_kind kind; (kind = next(&line)) != slot_kind::end;) {
         const u64 i = lines++;
         if (kind == slot_kind::overflow) {
-            ++overflow;
+            ++shed;
             pending p;
-            p.row = overloaded_row(i, admission_.options().retry_after_ms);
+            p.row = overloaded_row(i);
             p.ready = true;
             std::lock_guard lock(w.m);
             ++w.errors;
@@ -267,13 +246,11 @@ u64 service::run_batch(const line_source& next,
         const auto line_started = clock::now();
         line_trace lt;
         parsed_line pl = parse_one_line(line, i, batch_seq, tracing, wall_clock, tracer,
-                                        parse_ns, resolve_ns, &cache_, admission_, &lt);
-        if (pl.admitted) admitted_bytes.push_back(line.size());
-        if (pl.shed) ++shed;
+                                        parse_ns, resolve_ns, &cache_, &lt);
         jobs += pl.specs.size();
 
         // Append this line's slots to the window; ready-at-parse slots
-        // (errors, shed) can emit right away, stats probes wait for the end.
+        // (errors) can emit right away, stats probes wait for the end.
         std::size_t first_row;
         {
             std::lock_guard lock(w.m);
@@ -301,7 +278,6 @@ u64 service::run_batch(const line_source& next,
         for (std::size_t k = 0; k < pl.items.size(); ++k) {
             const parsed_line::item& it = pl.items[k];
             if (!it.has_spec) continue;
-            admission_.jobs_started(1);
             pool_.submit_indexed(
                 first_row + k, /*base_seed=*/0,
                 [this, spec = std::move(pl.specs[it.spec])](const sim::job_context&) {
@@ -310,7 +286,6 @@ u64 service::run_batch(const line_source& next,
                 [this, &w, &drain, &sim_instructions, &sim_big_cycles](
                     const sim::job_context& ctx, sim::run_outcome result,
                     std::exception_ptr error) {
-                    admission_.jobs_finished(1);
                     std::lock_guard lock(w.m);
                     pending& p = w.rows[ctx.index];
                     if (error) {
@@ -343,25 +318,24 @@ u64 service::run_batch(const line_source& next,
     }
 
     // Input exhausted. Once every job has settled — so no hook can touch
-    // the stack captures above any more — close the batch's books: retire
-    // admitted lines, add the batch counters, and only then build the stats
-    // snapshot (once per batch) and let the rest of the window out.
+    // the stack captures above any more — close the batch's books: add the
+    // batch counters, and only then build the stats snapshot (once per
+    // batch) and let the rest of the window out.
     std::unique_lock lock(w.m);
     w.cv.wait(lock, [&] { return w.outstanding == 0; });
-    for (const u64 bytes : admitted_bytes) admission_.retire_line(bytes);
-    admission_.note_batch_overflow(overflow);
     const u64 rows = w.rows.size();
     if (stats) {
         stats->requests += lines;
         stats->rows += rows;
         stats->jobs += jobs;
         stats->errors += w.errors;
-        stats->shed += shed + overflow;
+        stats->shed += shed;
     }
     metrics_.get_counter("service.requests").add(lines);
     metrics_.get_counter("service.rows").add(rows);
     metrics_.get_counter("service.jobs").add(jobs);
     metrics_.get_counter("service.errors").add(w.errors);
+    metrics_.get_counter("service.shed").add(shed);
 
     if (any_stats_row) {
         const std::string snapshot_json = obs::stats_json(stats_snapshot());
@@ -436,10 +410,7 @@ bool service::serve_batch(std::istream& in, std::ostream& out, batch_stats* stat
                  "serve: input stream died (I/O error, not EOF) after %llu lines",
                  static_cast<unsigned long long>(lines));
     }
-    if (lines == 0) {
-        slo_feedback_tick();
-        return false;  // input exhausted before any request line
-    }
+    if (lines == 0) return false;  // input exhausted before any request line
     if (!aborted) {
         if (framed) out << '\n';  // end-of-batch marker
         out.flush();
@@ -450,7 +421,6 @@ bool service::serve_batch(std::istream& in, std::ostream& out, batch_stats* stat
         if (stats) stats->client_aborts += 1;
         MEEK_LOG(warn, "serve: client aborted mid-response, dropping connection");
     }
-    slo_feedback_tick();
     return !aborted && !stream_error;
 }
 
@@ -459,17 +429,6 @@ batch_stats service::serve_stream(std::istream& in, std::ostream& out, bool fram
     while (serve_batch(in, out, &total, framed)) {
     }
     return total;
-}
-
-void service::slo_feedback_tick() {
-    if (opts_.slo_feedback.clauses.empty() || !admission_.enabled()) return;
-    std::lock_guard lock(slo_mutex_);
-    slo_monitor_.observe(metrics_.get_histogram("service.request_ns").snapshot());
-    const std::vector<obs::log_histogram> windows = slo_monitor_.windows();
-    const obs::slo_report report = obs::evaluate_slo_windows(
-        opts_.slo_feedback, windows, metrics_.get_counter("service.errors").value(),
-        metrics_.get_counter("service.rows").value());
-    admission_.observe_burn_rate(report.max_burn_rate);
 }
 
 obs::metrics_snapshot service::stats_snapshot() const {
@@ -484,7 +443,6 @@ obs::metrics_snapshot service::stats_snapshot() const {
     snap.set_counter("outcome_cache.misses", os.misses);
     snap.set_counter("outcome_cache.evictions", os.evictions);
     snap.set_gauge("outcome_cache.size", outcomes_.size());
-    admission_.contribute_metrics(snap);
     pool_.contribute_metrics(snap);
     // Derived simulation throughput: simulated instructions per host second
     // of job run time (the sim_throughput bench's MIPS, as a service gauge).

@@ -18,7 +18,7 @@
 // rows.
 //
 // One engine evaluates every batch, from evaluate() and serve_batch()
-// alike: each line is parsed, resolved and admitted the moment it is read,
+// alike: each line is parsed and resolved the moment it is read,
 // its jobs go to the executor with a completion hook, and rows settle
 // through a prefix reorder window — row k leaves once rows 0..k-1 have and
 // row k is complete, so completion order decides only *when* the window
@@ -32,29 +32,21 @@
 // and executed. Without it, rows are held until the batch has been read
 // and `out` is flushed once per batch. The bytes are identical either way.
 //
-// Overload behavior: when admission control is configured, each valid
-// request line is offered to the admission_controller at parse time; a shed
-// line settles immediately with one in-slot
-// {"error":"overloaded","retry_after_ms":N} row (never dropped, regardless
-// of its repeats). Admitted lines are retired at the end of their batch, so
-// in-batch shedding is a function of the input alone. Lines past the
-// per-batch caps (batch_limits; sticky, so they form the batch's tail) shed
-// the same way. An SLO spec in `slo_feedback` closes the loop: the
-// request-latency burn rate tightens admission while violated and loosens it
-// on recovery.
+// Overload behavior: lines past the per-batch caps (batch_limits; sticky,
+// so they form the batch's tail) are the one way the service sheds load.
+// Each settles immediately with one in-slot
+// {"error":"overloaded","retry_after_ms":100} row (never dropped, regardless
+// of its repeats), counted in batch_stats::shed and the service.shed counter.
 #pragma once
 
 #include <atomic>
 #include <functional>
 #include <iosfwd>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "obs/metrics.h"
-#include "obs/slo.h"
-#include "serve/admission.h"
 #include "serve/outcome_cache.h"
 #include "serve/protocol.h"
 #include "serve/workload_cache.h"
@@ -67,13 +59,8 @@ struct service_options {
     u32 threads = 0;                  // 0 => MEEK_THREADS / hardware_concurrency
     std::size_t cache_capacity = 64;  // workload cache entries; 0 disables caching
     std::size_t outcome_capacity = 256;  // completed-result cache; 0 disables
-    batch_limits limits;              // per-batch line/byte buffering caps
-    admission_options admission;      // line-level admission control (default off)
+    batch_limits limits;              // per-batch line/byte caps: overflow sheds
     bool streaming = false;           // serve_batch flushes per drained run of rows
-    // Nonempty clauses => after each batch the service.request_ns burn rate
-    // against this spec feeds admission (tighten on violation, recover on
-    // health). Independent of any tool-level --slo exit-code check.
-    obs::slo_spec slo_feedback;
 };
 
 struct batch_stats {
@@ -81,7 +68,7 @@ struct batch_stats {
     u64 rows = 0;      // response rows emitted (includes error rows)
     u64 errors = 0;    // error rows among them
     u64 jobs = 0;      // simulations actually dispatched
-    u64 shed = 0;          // "overloaded" rows among the errors
+    u64 shed = 0;      // "overloaded" rows among the errors (batch-cap overflow)
     u64 stream_errors = 0;  // batches whose input stream died (in.bad())
     u64 client_aborts = 0;  // batches whose output stream died mid-response
 };
@@ -114,18 +101,16 @@ public:
     const outcome_cache& outcomes() const { return outcomes_; }
     sim::executor& pool() { return pool_; }
     obs::metrics_registry& metrics() { return metrics_; }
-    const admission_controller& admission() const { return admission_; }
-    admission_controller& admission() { return admission_; }
 
     // The session's full observability picture: the registry's counters and
     // per-stage latency histograms (service.parse_ns / resolve_ns /
     // serialize_ns / request_ns), overlaid with the workload/outcome cache
-    // stats, the admission controller's counters/gauges, and the executor's
-    // pool counters + queue-wait/run histograms — the existing stat structs
-    // re-plumbed into one sorted snapshot — plus the derived
-    // sim.host_instr_per_sec gauge: sim.instructions over the summed job run
-    // time (pool.run_ns). This is what `meek_serve --stats-json` exports and
-    // what a `{"stats":true}` request line returns inline.
+    // stats and the executor's pool counters + queue-wait/run histograms —
+    // the existing stat structs re-plumbed into one sorted snapshot — plus
+    // the derived sim.host_instr_per_sec gauge: sim.instructions over the
+    // summed job run time (pool.run_ns). This is what `meek_serve
+    // --stats-json` exports and what a `{"stats":true}` request line returns
+    // inline.
     obs::metrics_snapshot stats_snapshot() const;
 
 private:
@@ -145,9 +130,6 @@ private:
                   const std::function<void(response_row&&)>& emit,
                   const std::function<void()>& flush_run, batch_stats* stats);
 
-    // Feed the latest request-latency window's burn rate into admission.
-    void slo_feedback_tick();
-
     service_options opts_;
     // Declared before the executor: jobs drained by the pool's destructor
     // never touch the registry, but the registry must outlive run_batch()'s
@@ -155,11 +137,6 @@ private:
     obs::metrics_registry metrics_;
     workload_cache cache_;
     outcome_cache outcomes_;
-    admission_controller admission_;
-    // slo_window_monitor is single-threaded by contract; serve_batch may run
-    // concurrently on accept-pool threads, so ticks serialize here.
-    std::mutex slo_mutex_;
-    obs::slo_window_monitor slo_monitor_;
     sim::executor pool_;
     // Trace minting sequence: batch n, line i => mint_trace_id(n, i), so
     // trace ids are a pure function of the session's input, never of

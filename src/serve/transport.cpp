@@ -531,6 +531,7 @@ serve_connections_stats serve_connections(service& svc, listener& lis,
                         st.total.rows += s.rows;
                         st.total.errors += s.errors;
                         st.total.jobs += s.jobs;
+                        st.total.shed += s.shed;
                     }
                 }
                 st.slot.notify_all();

@@ -169,6 +169,7 @@ struct serve_connections_stats {
     u64 rows = 0;
     u64 errors = 0;
     u64 jobs = 0;
+    u64 shed = 0;  // "overloaded" rows among the errors
 };
 
 // The network daemon loop: accept clients onto a fixed pool of handler

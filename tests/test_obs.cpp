@@ -1,7 +1,7 @@
 // Tests for the observability layer: log-bucketed histogram exactness and
 // bucket geometry, deterministic merge, concurrent recording, the metrics
 // registry/snapshot, stats JSON round-tripping through the serve JSON
-// parser, and the open-loop load-generation machinery.
+// parser, and request tracing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,9 +14,7 @@
 
 #include "common/rng.h"
 #include "obs/histogram.h"
-#include "obs/loadgen.h"
 #include "obs/metrics.h"
-#include "obs/slo.h"
 #include "obs/stats_json.h"
 #include "obs/trace.h"
 #include "serve/json.h"
@@ -249,124 +247,6 @@ TEST(stats_json, snapshot_round_trips_through_the_serve_parser) {
     EXPECT_EQ(bucket_total, h.count());
 }
 
-TEST(loadgen, schedule_is_a_pure_function_of_its_config) {
-    const arrival_schedule_config cfg{
-        .qps = 50'000, .requests = 500, .seed = 9, .mix_size = 24, .jitter = true};
-    const std::vector<arrival> a = build_arrival_schedule(cfg);
-    const std::vector<arrival> b = build_arrival_schedule(cfg);
-    EXPECT_EQ(a, b);  // byte-identical, run to run
-    ASSERT_EQ(a.size(), 500u);
-
-    const u64 interval_ns = 1'000'000'000 / cfg.qps;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        ASSERT_LT(a[i].mix_index, cfg.mix_size);
-        // Jitter stays inside the slot, so arrivals are sorted by construction
-        // and the long-run rate is exactly qps.
-        ASSERT_GE(a[i].arrival_ns, i * interval_ns);
-        ASSERT_LT(a[i].arrival_ns, (i + 1) * interval_ns);
-        if (i > 0) ASSERT_GE(a[i].arrival_ns, a[i - 1].arrival_ns);
-    }
-
-    // A different seed moves the jitter and the template draws.
-    arrival_schedule_config other = cfg;
-    other.seed = 10;
-    EXPECT_NE(build_arrival_schedule(other), a);
-}
-
-TEST(loadgen, open_loop_simulation_is_deterministic_and_shows_queueing) {
-    const std::vector<u64> service_ns = {30'000, 60'000};  // mean 45us
-    const arrival_schedule_config underload{
-        .qps = 2'000, .requests = 300, .seed = 4, .mix_size = 2, .jitter = true};
-    arrival_schedule_config overload = underload;
-    overload.qps = 100'000;  // 10us interval << 45us service: queue must build
-
-    const std::vector<arrival> slow = build_arrival_schedule(underload);
-    const std::vector<arrival> fast = build_arrival_schedule(overload);
-
-    const open_loop_result r1 = simulate_open_loop(slow, service_ns, 1);
-    const open_loop_result r2 = simulate_open_loop(slow, service_ns, 1);
-    EXPECT_EQ(r1.latency_ns, r2.latency_ns);  // deterministic, bit for bit
-    EXPECT_EQ(r1.completed, underload.requests);
-
-    // Underloaded single server: every request starts immediately, so latency
-    // never exceeds the largest service time.
-    EXPECT_LE(r1.latency_ns.max(), 60'000u);
-
-    // Overload at the same service times: the tail is queueing delay, far
-    // beyond any single service time, and more servers strictly help.
-    const open_loop_result over1 = simulate_open_loop(fast, service_ns, 1);
-    EXPECT_GT(over1.latency_ns.p99(), 10 * 60'000u);
-    const open_loop_result over4 = simulate_open_loop(fast, service_ns, 4);
-    EXPECT_LT(over4.latency_ns.p99(), over1.latency_ns.p99());
-    EXPECT_GE(over1.makespan_ns, fast.back().arrival_ns);
-}
-
-TEST(loadgen, window_split_partitions_the_latency_stream) {
-    const arrival_schedule_config cfg{
-        .qps = 50'000, .requests = 200, .seed = 9, .mix_size = 3, .jitter = true};
-    const std::vector<arrival> arrivals = build_arrival_schedule(cfg);
-    const std::vector<u64> service_ns = {10'000, 25'000, 60'000};
-
-    const open_loop_result whole = simulate_open_loop(arrivals, service_ns, 2);
-    const open_loop_result split = simulate_open_loop(arrivals, service_ns, 2, 8);
-    ASSERT_EQ(split.window_latency.size(), 8u);
-
-    // The windows partition the stream: counts sum to the total, and merging
-    // them back reproduces the cumulative histogram bit for bit.
-    u64 total = 0;
-    log_histogram merged;
-    for (const log_histogram& w : split.window_latency) {
-        total += w.count();
-        merged.merge(w);
-    }
-    EXPECT_EQ(total, whole.latency_ns.count());
-    EXPECT_EQ(merged, whole.latency_ns);
-    EXPECT_EQ(split.latency_ns, whole.latency_ns);
-
-    // Window assignment is a pure function of the schedule.
-    const open_loop_result again = simulate_open_loop(arrivals, service_ns, 2, 8);
-    for (std::size_t i = 0; i < 8; ++i) {
-        EXPECT_EQ(split.window_latency[i], again.window_latency[i]) << i;
-    }
-}
-
-TEST(loadgen, admission_sheds_over_capacity_and_bounds_the_tail) {
-    const std::vector<u64> service_ns = {45'000};
-    const arrival_schedule_config cfg{
-        .qps = 100'000, .requests = 400, .seed = 7, .mix_size = 1, .jitter = true};
-    const std::vector<arrival> arrivals = build_arrival_schedule(cfg);
-
-    // 10us interval vs 45us service on one server: without admission the
-    // queue grows without bound and the tail is dominated by waiting.
-    const open_loop_result open = simulate_open_loop(arrivals, service_ns, 1);
-    EXPECT_EQ(open.shed, 0u);
-    EXPECT_EQ(open.completed, cfg.requests);
-
-    // A queue cap of 8 sheds the excess instead of queueing it. Every arrival
-    // is accounted for exactly once, and the admitted tail is bounded by
-    // (cap + 1) service times — queueing delay can no longer pile up.
-    const open_loop_admission cap{.max_queue = 8};
-    const open_loop_result shed = simulate_open_loop(arrivals, service_ns, 1, 0, cap);
-    EXPECT_GT(shed.shed, 0u);
-    EXPECT_EQ(shed.completed + shed.shed, cfg.requests);
-    EXPECT_LE(shed.latency_ns.max(), (cap.max_queue + 1) * 45'000);
-    EXPECT_LT(shed.latency_ns.p99(), open.latency_ns.p99());
-
-    // Deterministic: the same schedule sheds the same requests, bit for bit.
-    const open_loop_result again = simulate_open_loop(arrivals, service_ns, 1, 0, cap);
-    EXPECT_EQ(again.shed, shed.shed);
-    EXPECT_EQ(again.latency_ns, shed.latency_ns);
-
-    // Under capacity the cap is inert: nothing sheds, results are unchanged.
-    const arrival_schedule_config slow_cfg{
-        .qps = 2'000, .requests = 400, .seed = 7, .mix_size = 1, .jitter = true};
-    const std::vector<arrival> slow = build_arrival_schedule(slow_cfg);
-    const open_loop_result uncapped = simulate_open_loop(slow, service_ns, 1);
-    const open_loop_result capped = simulate_open_loop(slow, service_ns, 1, 0, cap);
-    EXPECT_EQ(capped.shed, 0u);
-    EXPECT_EQ(capped.latency_ns, uncapped.latency_ns);
-}
-
 // ------------------------------------------------------------------ trace ---
 
 // Quiesce-and-reset guard: every tracer test starts from a clean singleton
@@ -563,152 +443,6 @@ TEST(trace_export, nesting_validator_catches_violations) {
     span_record self_loop = child;
     self_loop.parent_span_id = self_loop.span_id;
     EXPECT_NE(validate_span_nesting({root, self_loop}), "");
-}
-
-// -------------------------------------------------------------------- slo ---
-
-TEST(slo_spec, grammar_accepts_the_documented_forms) {
-    slo_spec spec;
-    std::string error;
-    ASSERT_TRUE(
-        parse_slo_spec(" p99 <= 250us , p999<=1ms, error_rate<=0.1% ", &spec, &error))
-        << error;
-    ASSERT_EQ(spec.clauses.size(), 3u);
-    EXPECT_EQ(spec.text, "p99<=250us,p999<=1ms,error_rate<=0.1%");
-    EXPECT_EQ(spec.clauses[0].metric, slo_metric::quantile);
-    EXPECT_DOUBLE_EQ(spec.clauses[0].quantile, 0.99);
-    EXPECT_EQ(spec.clauses[0].threshold_ns, 250'000u);
-    EXPECT_DOUBLE_EQ(spec.clauses[1].quantile, 0.999);
-    EXPECT_EQ(spec.clauses[1].threshold_ns, 1'000'000u);
-    EXPECT_EQ(spec.clauses[2].metric, slo_metric::error_rate);
-    EXPECT_DOUBLE_EQ(spec.clauses[2].threshold_ratio, 0.001);
-
-    ASSERT_TRUE(parse_slo_spec("mean<=1500,max<=2s", &spec, &error)) << error;
-    EXPECT_EQ(spec.clauses[0].metric, slo_metric::mean);
-    EXPECT_EQ(spec.clauses[0].threshold_ns, 1'500u) << "bare numbers are ns";
-    EXPECT_EQ(spec.clauses[1].metric, slo_metric::max);
-    EXPECT_EQ(spec.clauses[1].threshold_ns, 2'000'000'000u);
-}
-
-TEST(slo_spec, grammar_rejects_malformed_specs) {
-    slo_spec spec;
-    std::string error;
-    EXPECT_FALSE(parse_slo_spec("", &spec, &error));
-    EXPECT_FALSE(parse_slo_spec("p99<250us", &spec, &error)) << "only <=";
-    EXPECT_FALSE(parse_slo_spec("p<=5us", &spec, &error)) << "p needs digits";
-    EXPECT_FALSE(parse_slo_spec("median<=5us", &spec, &error));
-    EXPECT_FALSE(parse_slo_spec("p99<=fast", &spec, &error));
-    EXPECT_FALSE(parse_slo_spec("p99<=5lightyears", &spec, &error));
-    EXPECT_FALSE(parse_slo_spec("p99<=250us,,p50<=1us", &spec, &error));
-    EXPECT_FALSE(parse_slo_spec("error_rate<=1ms", &spec, &error))
-        << "error_rate takes a ratio, not a latency unit";
-}
-
-TEST(slo_eval, clauses_judge_observed_against_threshold_with_burn_rate) {
-    log_histogram lat;
-    for (u64 i = 0; i < 99; ++i) lat.record(1'000);  // 1 µs floor
-    lat.record(100'000);                             // one 100 µs tail sample
-
-    slo_spec spec;
-    ASSERT_TRUE(parse_slo_spec("p50<=2us,max<=50us,error_rate<=5%", &spec));
-    const slo_report report = evaluate_slo(spec, lat, /*errors=*/1, /*total=*/100);
-
-    ASSERT_EQ(report.clauses.size(), 3u);
-    EXPECT_FALSE(report.clauses[0].violated);
-    EXPECT_LE(report.clauses[0].burn_rate, 1.0);
-    EXPECT_TRUE(report.clauses[1].violated) << "the tail sample breaks max<=50us";
-    EXPECT_GT(report.clauses[1].burn_rate, 1.0);
-    EXPECT_FALSE(report.clauses[2].violated);
-    EXPECT_DOUBLE_EQ(report.clauses[2].observed_ratio, 0.01);
-    EXPECT_TRUE(report.violated);
-    EXPECT_EQ(report.samples, 100u);
-    EXPECT_DOUBLE_EQ(report.max_burn_rate, report.clauses[1].burn_rate);
-}
-
-TEST(slo_eval, any_bad_window_violates_a_latency_clause) {
-    // Seven quiet windows and one with a brief spike: across the whole
-    // stream the spike is 0.5% of samples, under the cumulative p99 — only
-    // the windowed evaluation can flag it.
-    std::vector<log_histogram> windows(8);
-    for (std::size_t w = 0; w < windows.size(); ++w) {
-        for (int i = 0; i < 50; ++i) {
-            const bool spike = w == 5 && i < 2;
-            windows[w].record(spike ? 900'000 : 1'000);
-        }
-    }
-    slo_spec spec;
-    ASSERT_TRUE(parse_slo_spec("p99<=500us", &spec));
-
-    const slo_report windowed = evaluate_slo_windows(spec, windows);
-    EXPECT_TRUE(windowed.violated);
-    EXPECT_EQ(windowed.clauses[0].worst_window, 5u);
-    EXPECT_EQ(windowed.windows, 8u);
-    EXPECT_EQ(windowed.samples, 400u);
-
-    log_histogram cumulative;
-    for (const log_histogram& w : windows) cumulative.merge(w);
-    EXPECT_FALSE(evaluate_slo(spec, cumulative).violated)
-        << "the spike hides in the cumulative p99 — the windowed check exists "
-           "for exactly this case";
-}
-
-TEST(slo_eval, window_diff_and_monitor_recover_per_interval_streams) {
-    atomic_log_histogram live;
-    slo_window_monitor monitor(/*max_windows=*/3);
-
-    live.record(1'000);
-    live.record(2'000);
-    monitor.observe(live.snapshot());
-    const log_histogram first = monitor.windows().back();
-    EXPECT_EQ(first.count(), 2u);
-
-    live.record(800'000);
-    monitor.observe(live.snapshot());
-    ASSERT_EQ(monitor.windows().size(), 2u);
-    const log_histogram second = monitor.windows().back();
-    EXPECT_EQ(second.count(), 1u);
-    EXPECT_GE(second.p99(), 500'000u) << "the new sample lands in the new window";
-
-    // Quiet intervals still produce (empty) windows; the deque stays bounded.
-    monitor.observe(live.snapshot());
-    monitor.observe(live.snapshot());
-    EXPECT_EQ(monitor.windows().size(), 3u);
-    EXPECT_EQ(monitor.windows().back().count(), 0u);
-
-    // diff is exact on counts even though values quantize to bucket floors.
-    log_histogram prev;
-    prev.record(5'000);
-    log_histogram cur = prev;
-    cur.record(70'000);
-    cur.record(70'001);
-    const log_histogram diff = histogram_window_diff(cur, prev);
-    EXPECT_EQ(diff.count(), 2u);
-    EXPECT_EQ(diff.min(), bucket_lo(bucket_index(70'000)));
-}
-
-TEST(slo_eval, report_serializes_into_stats_json) {
-    log_histogram lat;
-    for (int i = 0; i < 100; ++i) lat.record(10'000);
-    slo_spec spec;
-    ASSERT_TRUE(parse_slo_spec("p99<=5us,error_rate<=1%", &spec));
-    const slo_report report = evaluate_slo(spec, lat, /*errors=*/0, /*total=*/100);
-    ASSERT_TRUE(report.violated);
-
-    metrics_snapshot snap;
-    snap.set_counter("x.count", 100);
-    const std::string doc = stats_json(snap, &report);
-    std::string parse_error;
-    const std::optional<serve::json_value> parsed = serve::json_parse(doc, &parse_error);
-    ASSERT_TRUE(parsed.has_value()) << parse_error;
-    const serve::json_value* slo = parsed->get("slo");
-    ASSERT_NE(slo, nullptr);
-    EXPECT_EQ(slo->get("spec")->as_string(), "p99<=5us,error_rate<=1%");
-    EXPECT_TRUE(slo->get("violated")->as_bool());
-    ASSERT_NE(slo->get("clauses"), nullptr);
-    EXPECT_EQ(slo->get("clauses")->items().size(), 2u);
-
-    // Without a report the section is absent — untouched meek.stats.v1.
-    EXPECT_EQ(serve::json_parse(stats_json(snap))->get("slo"), nullptr);
 }
 
 }  // namespace

@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "obs/trace.h"
-#include "serve/admission.h"
 #include "serve/json.h"
 #include "serve/outcome_cache.h"
 #include "serve/protocol.h"
@@ -1402,173 +1401,24 @@ TEST(serve_protocol, response_trace_id_round_trips_but_is_never_minted) {
     EXPECT_EQ(serve::to_json(plain).find("trace_id"), std::string::npos);
 }
 
-// ------------------------------------------- admission control + streaming ---
-
-TEST(serve_admission, disabled_controller_admits_everything) {
-    serve::admission_controller adm;  // default: disabled
-    for (int i = 0; i < 1000; ++i) {
-        const auto d = adm.admit_line(1 << 20, 100);
-        EXPECT_TRUE(d.admit);
-        EXPECT_EQ(d.retry_after_ms, 0u);
-    }
-    EXPECT_EQ(adm.stats().admitted, 1000u);
-    EXPECT_EQ(adm.stats().shed, 0u);
-}
-
-TEST(serve_admission, queue_caps_shed_and_recover_after_retire) {
-    serve::admission_options opts;
-    opts.enabled = true;
-    opts.max_queue_lines = 2;
-    opts.retry_after_ms = 40;
-    serve::admission_controller adm(opts);
-
-    EXPECT_TRUE(adm.admit_line(10, 1).admit);
-    EXPECT_TRUE(adm.admit_line(10, 1).admit);
-    const auto shed = adm.admit_line(10, 1);
-    EXPECT_FALSE(shed.admit);
-    EXPECT_STREQ(shed.reason, "queue_lines");
-    EXPECT_EQ(shed.retry_after_ms, 40u);
-
-    adm.retire_line(10);
-    EXPECT_TRUE(adm.admit_line(10, 1).admit) << "retiring a line frees a slot";
-    EXPECT_EQ(adm.stats().admitted, 3u);
-    EXPECT_EQ(adm.stats().shed, 1u);
-    EXPECT_EQ(adm.stats().shed_queue_lines, 1u);
-
-    // Byte cap, same dance: a second large line overflows, a small one fits.
-    serve::admission_options byte_opts;
-    byte_opts.enabled = true;
-    byte_opts.max_queue_bytes = 100;
-    serve::admission_controller bytes(byte_opts);
-    EXPECT_TRUE(bytes.admit_line(80, 1).admit);
-    EXPECT_STREQ(bytes.admit_line(80, 1).reason, "queue_bytes");
-    EXPECT_TRUE(bytes.admit_line(20, 1).admit);
-    bytes.retire_line(80);
-    bytes.retire_line(20);
-    EXPECT_EQ(bytes.queued_bytes(), 0u);
-
-    // In-flight jobs: the executor-hook signal. An empty system always admits
-    // (even an over-large request must be serviceable), a busy one sheds.
-    serve::admission_options fly_opts;
-    fly_opts.enabled = true;
-    fly_opts.max_inflight_jobs = 2;
-    serve::admission_controller fly(fly_opts);
-    EXPECT_TRUE(fly.admit_line(10, 100).admit) << "idle system admits any size";
-    fly.jobs_started(2);
-    EXPECT_STREQ(fly.admit_line(10, 1).reason, "inflight");
-    fly.jobs_finished(2);
-    EXPECT_TRUE(fly.admit_line(10, 1).admit);
-}
-
-TEST(serve_admission, token_bucket_is_deterministic_under_injected_time) {
-    serve::admission_options opts;
-    opts.enabled = true;
-    opts.line_rate = 1000;  // one line per millisecond
-    opts.line_burst = 2;
-    serve::admission_controller adm(opts);
-
-    const u64 t0 = 1;  // nonzero: 0 means "read the steady clock"
-    EXPECT_TRUE(adm.admit_line(10, 1, t0).admit);   // burst token 1
-    EXPECT_TRUE(adm.admit_line(10, 1, t0).admit);   // burst token 2
-    EXPECT_STREQ(adm.admit_line(10, 1, t0).reason, "line_rate");
-    // 2 ms later the bucket refilled two tokens (rate 1/ms, capped at burst).
-    EXPECT_TRUE(adm.admit_line(10, 1, t0 + 2'000'000).admit);
-    EXPECT_TRUE(adm.admit_line(10, 1, t0 + 2'000'000).admit);
-    EXPECT_STREQ(adm.admit_line(10, 1, t0 + 2'000'000).reason, "line_rate");
-    EXPECT_EQ(adm.stats().shed_line_rate, 2u);
-}
-
-TEST(serve_admission, burn_rate_tightens_and_recovers_effective_limits) {
-    serve::admission_options opts;
-    opts.enabled = true;
-    opts.max_queue_lines = 4;
-    opts.retry_after_ms = 100;
-    serve::admission_controller adm(opts);
-
-    adm.observe_burn_rate(2.0);  // burning: scale 1.0 -> 0.5, cap 4 -> 2
-    EXPECT_DOUBLE_EQ(adm.scale(), 0.5);
-    EXPECT_EQ(adm.stats().slo_tightenings, 1u);
-    EXPECT_TRUE(adm.admit_line(10, 1).admit);
-    EXPECT_TRUE(adm.admit_line(10, 1).admit);
-    const auto shed = adm.admit_line(10, 1);
-    EXPECT_STREQ(shed.reason, "queue_lines");
-    EXPECT_EQ(shed.retry_after_ms, 200u) << "retry hint scales with pressure";
-
-    // The floor: however long the SLO burns, some capacity survives.
-    for (int i = 0; i < 20; ++i) adm.observe_burn_rate(5.0);
-    EXPECT_GE(adm.scale(), 0.125);
-
-    // Healthy windows recover multiplicatively back to full capacity.
-    int recoveries = 0;
-    while (adm.scale() < 1.0 && recoveries < 64) {
-        adm.observe_burn_rate(0.2);
-        ++recoveries;
-    }
-    EXPECT_DOUBLE_EQ(adm.scale(), 1.0);
-    EXPECT_GT(adm.stats().slo_recoveries, 0u);
-    adm.retire_line(10);
-    adm.retire_line(10);
-    for (int i = 0; i < 4; ++i) EXPECT_TRUE(adm.admit_line(10, 1).admit);
-}
+// ----------------------------------------------------- overload + streaming ---
 
 TEST(serve_protocol, overloaded_rows_round_trip_retry_after_ms) {
-    const serve::response_row row = serve::overloaded_row(5, 250, "tag");
+    const serve::response_row row = serve::overloaded_row(5);
     const std::string wire = serve::to_json(row);
-    EXPECT_NE(wire.find("\"error\":\"overloaded\""), std::string::npos) << wire;
-    EXPECT_NE(wire.find("\"retry_after_ms\":250"), std::string::npos) << wire;
+    EXPECT_EQ(wire, R"({"request":5,"repeat":0,"error":"overloaded","retry_after_ms":100})");
 
     std::string error;
     const auto parsed = serve::parse_response(wire, &error);
     ASSERT_TRUE(parsed.has_value()) << error;
     EXPECT_EQ(parsed->request_index, 5u);
-    EXPECT_EQ(parsed->id, "tag");
     EXPECT_EQ(parsed->error, "overloaded");
-    EXPECT_EQ(parsed->retry_after_ms, 250u);
+    EXPECT_EQ(parsed->retry_after_ms, 100u);
 
     // Ordinary rows never carry the field.
     serve::response_row plain;
     plain.outcome.scenario = "vanilla";
     EXPECT_EQ(serve::to_json(plain).find("retry_after_ms"), std::string::npos);
-}
-
-TEST(serve_service, admission_sheds_in_slot_and_the_rest_still_runs) {
-    serve::service_options opts;
-    opts.threads = 2;
-    opts.admission.enabled = true;
-    opts.admission.max_queue_lines = 1;
-    opts.admission.retry_after_ms = 75;
-    serve::service svc(opts);
-
-    const std::vector<std::string> lines = {
-        R"({"scenario":"vanilla","workload":"hmmer","instructions":6000,"repeats":2})",
-        R"({"id":"late","scenario":"vanilla","workload":"hmmer","instructions":6000})",
-        R"(}{ not json)",
-    };
-    serve::batch_stats stats;
-    const std::vector<serve::response_row> rows = svc.evaluate(lines, &stats);
-    // Line 0 admits and fans out; line 1 finds the batch queue full (retires
-    // happen at end of batch, so in-batch shedding is deterministic); the
-    // malformed line errors without consulting admission.
-    ASSERT_EQ(rows.size(), 4u);
-    EXPECT_TRUE(rows[0].error.empty());
-    EXPECT_TRUE(rows[1].error.empty());
-    EXPECT_EQ(rows[2].request_index, 1u);
-    EXPECT_EQ(rows[2].error, "overloaded");
-    EXPECT_EQ(rows[2].retry_after_ms, 75u);
-    EXPECT_EQ(rows[2].id, "late");
-    EXPECT_NE(rows[3].error.find("bad json"), std::string::npos);
-    EXPECT_EQ(stats.shed, 1u);
-    EXPECT_EQ(stats.jobs, 2u);
-
-    // Retired at batch end: the next batch starts with a free queue, and the
-    // whole dance repeats identically.
-    serve::batch_stats again;
-    const std::vector<serve::response_row> rows2 = svc.evaluate(lines, &again);
-    ASSERT_EQ(rows2.size(), 4u);
-    EXPECT_EQ(rows2[2].error, "overloaded");
-    EXPECT_EQ(again.shed, 1u);
-    EXPECT_EQ(svc.admission().queued_lines(), 0u);
-    EXPECT_EQ(svc.admission().inflight_jobs(), 0u);
 }
 
 // A streambuf that serves a fixed prefix and then dies with an I/O error, the
@@ -1705,7 +1555,9 @@ TEST(serve_service, batch_caps_turn_overflow_lines_into_overloaded_rows) {
     EXPECT_EQ(rows[3].request_index, 3u);
     EXPECT_EQ(rows[3].error, "overloaded");
     EXPECT_GT(rows[3].retry_after_ms, 0u);
-    EXPECT_EQ(svc.admission().stats().shed_batch_limit, 2u);
+    const obs::metrics_snapshot snap = svc.stats_snapshot();
+    ASSERT_NE(snap.counter_value("service.shed"), nullptr);
+    EXPECT_EQ(*snap.counter_value("service.shed"), 2u);
 }
 
 std::string streaming_identity_input() {

@@ -372,24 +372,24 @@ TEST(transport_streaming, rows_stream_back_before_the_batch_terminator) {
     server.join();
 }
 
-TEST(transport_streaming, admitted_lines_retire_at_end_of_batch_not_at_emission) {
-    // With a one-line queue, line 0's row streams back mid-batch, but line 0
-    // still holds its queue slot until the batch ends — so line 1 sheds
-    // whatever the arrival timing, exactly as in a buffered batch.
+TEST(transport_streaming, batch_cap_sheds_in_slot_after_a_streamed_row) {
+    // With a one-line batch cap, line 0's row streams back mid-batch, and
+    // line 1 — sent only after that row arrived — still sheds as an in-slot
+    // overloaded row, exactly as in a buffered batch.
     serve::endpoint_address addr;
     addr.kind = serve::endpoint_kind::unix_socket;
-    addr.path = socket_path("stream_admission");
+    addr.path = socket_path("stream_batch_cap");
     auto lis = serve::listener::open(addr);
     ASSERT_NE(lis, nullptr);
 
     serve::service_options sopts;
     sopts.threads = 2;
     sopts.streaming = true;
-    sopts.admission.enabled = true;
-    sopts.admission.max_queue_lines = 1;
+    sopts.limits.max_lines = 1;
     serve::service svc(sopts);
+    serve::serve_connections_stats served;
     std::thread server([&] {
-        serve::serve_connections(svc, *lis, {.max_connections = 1});
+        served = serve::serve_connections(svc, *lis, {.max_connections = 1});
     });
 
     auto client = serve::connect_endpoint(lis->address());
@@ -415,12 +415,15 @@ TEST(transport_streaming, admitted_lines_retire_at_end_of_batch_not_at_emission)
     ASSERT_TRUE(second.has_value()) << row1;
     EXPECT_EQ(second->request_index, 1u);
     EXPECT_EQ(second->error, "overloaded") << row1;
-    EXPECT_EQ(second->id, "late");
+    EXPECT_EQ(second->retry_after_ms, 100u) << row1;
 
     client->close_write();
     client.reset();
     server.join();
-    EXPECT_EQ(svc.admission().queued_lines(), 0u);
+    EXPECT_EQ(served.shed, 1u);
+    const obs::metrics_snapshot snap = svc.stats_snapshot();
+    ASSERT_NE(snap.counter_value("service.shed"), nullptr);
+    EXPECT_EQ(*snap.counter_value("service.shed"), 1u);
 }
 
 TEST(transport_streaming, concurrent_batches_mint_disjoint_trace_ids) {

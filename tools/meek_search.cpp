@@ -26,15 +26,14 @@
 //   --grid freq=1600,2000 checker clock (MHz)
 // With no --grid flags the default sweep applies (lsl x depth x freq around
 // the Table II point); --no-registry restricts the universe to grid points.
-#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <string>
-#include <string_view>
 #include <vector>
 
+#include "cli_number.h"
 #include "search/driver.h"
 #include "serve/outcome_cache.h"
 #include "sim/executor.h"
@@ -55,23 +54,6 @@ int usage(const char* argv0) {
         "          [--threads N] [--format csv|ndjson] [--all]\n",
         argv0);
     return 2;
-}
-
-// A numeric flag's value: the whole token as a T in [lo, hi] (no sign on an
-// unsigned type, no trailing characters, no overflow, never NaN), or a usage
-// error that exits 2 before anything reaches stdout.
-template <typename T>
-T parse_number(const char* argv0, const char* flag, std::string_view text, T lo,
-               T hi = std::numeric_limits<T>::max()) {
-    T value{};
-    const char* end = text.data() + text.size();
-    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-    if (ec != std::errc{} || ptr != end || !(value >= lo && value <= hi)) {
-        std::fprintf(stderr, "bad %s value '%.*s'\n", flag,
-                     static_cast<int>(text.size()), text.data());
-        std::exit(usage(argv0));
-    }
-    return value;
 }
 
 }  // namespace
@@ -96,7 +78,7 @@ int main(int argc, char** argv) {
         };
         auto number_flag = [&]<typename T>(const char* flag, T lo,
                                            T hi = std::numeric_limits<T>::max()) {
-            return parse_number(argv[0], flag, next_value(flag), lo, hi);
+            return cli::parse_number(flag, next_value(flag), lo, hi);
         };
         if (arg == "--workload") {
             opts.workload = next_value("--workload");
@@ -134,7 +116,7 @@ int main(int argc, char** argv) {
         } else if (arg == "--threads") {
             threads = number_flag("--threads", u32{0});
         } else if (arg.rfind("--threads=", 0) == 0) {
-            threads = parse_number(argv[0], "--threads", arg.c_str() + 10, u32{0});
+            threads = cli::parse_number("--threads", arg.c_str() + 10, u32{0});
         } else if (arg == "--format") {
             const std::string v = next_value("--format");
             if (v == "ndjson") {

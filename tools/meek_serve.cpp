@@ -20,21 +20,15 @@
 //                          batch: each row is written once its jobs and all
 //                          earlier rows are done (the same bytes; only
 //                          latency changes)
-//   --admission            enable admission control (with the default limits
-//                          below; any limit flag also enables it)
-//   --max-inflight N       shed when N executor jobs are already in flight
-//   --max-queue-lines N    shed when N admitted lines are in unfinished
-//                          batches (a line is retired at its batch's end)
-//   --max-queue-bytes N    shed when those lines hold N request bytes
-//   --line-rate R          token-bucket line rate: R lines/second sustained
-//   --retry-after-ms N     base retry hint in shed rows (default 100)
 //   --batch-max-lines N    per-batch buffering caps: lines past either cap
-//   --batch-max-bytes N    become in-slot overloaded rows (0 = unlimited)
+//   --batch-max-bytes N    become in-slot overloaded rows with
+//                          "retry_after_ms":100 (0 = unlimited); the only
+//                          way the service sheds load
 //   --max-connections N    --listen: exit after serving N clients (0 = run
 //                          until killed); probes that send no request do not
 //                          consume the budget
 //   --accept-threads N     --listen: serve up to N client connections
-//                          concurrently (default 4)
+//                          concurrently (default 4, at least 1)
 //   --stats-json PATH      after serving, write the session's observability
 //                          snapshot (meek.stats.v1: counters, gauges, and
 //                          per-stage latency histograms) as one JSON line,
@@ -45,15 +39,10 @@
 //   --trace-clock MODE     trace timestamps: wall (default) or virtual —
 //                          deterministic per-timeline ticks, byte-identical
 //                          exports at any thread count
-//   --slo SPEC             evaluate SPEC (e.g. "p99<=250us,error_rate<=1%")
-//                          against the session's end-to-end request latency
-//                          after serving: report to stderr, "slo" section in
-//                          --stats-json, exit 1 on violation. With admission
-//                          enabled the spec also drives the shed/admit
-//                          feedback loop: per-batch burn rates above 1
-//                          tighten the effective limits, recovery loosens
-//                          them back
 //   --quiet                suppress the stderr session summary
+//
+// Numeric values must parse whole and in range (the `--flag=N` forms too); a
+// bad value is a usage error (exit 2, nothing on stdout).
 //
 // stdout carries only response rows — byte-identical for a given input at
 // any thread count, tracing on or off — so it can be diffed against golden
@@ -61,13 +50,12 @@
 // stderr.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
 
+#include "cli_number.h"
 #include "common/atomic_file.h"
-#include "obs/slo.h"
 #include "obs/stats_json.h"
 #include "obs/trace.h"
 #include "serve/service.h"
@@ -81,12 +69,10 @@ int usage(const char* argv0) {
     std::fprintf(stderr,
                  "usage: %s [--requests FILE | --listen ADDR] [--threads N] "
                  "[--cache-capacity N] [--outcome-capacity N] [--stream] "
-                 "[--admission] [--max-inflight N] "
-                 "[--max-queue-lines N] [--max-queue-bytes N] [--line-rate R] "
-                 "[--retry-after-ms N] [--batch-max-lines N] "
-                 "[--batch-max-bytes N] [--max-connections N] "
-                 "[--accept-threads N] [--stats-json PATH] [--trace-json PATH] "
-                 "[--trace-clock wall|virtual] [--slo SPEC] [--quiet]\n",
+                 "[--batch-max-lines N] [--batch-max-bytes N] "
+                 "[--max-connections N] [--accept-threads N] "
+                 "[--stats-json PATH] [--trace-json PATH] "
+                 "[--trace-clock wall|virtual] [--quiet]\n",
                  argv0);
     return 2;
 }
@@ -98,7 +84,6 @@ int main(int argc, char** argv) {
     std::string listen_spec;
     std::string stats_json_path;
     std::string trace_json_path;
-    std::string slo_text;
     obs::trace_clock_mode trace_clock = obs::trace_clock_mode::wall;
     serve::service_options opts;
     u64 max_connections = 0;
@@ -114,57 +99,37 @@ int main(int argc, char** argv) {
             }
             return argv[++i];
         };
+        auto number_flag = [&]<typename T>(const char* flag, T lo) {
+            return cli::parse_number(flag, next_value(flag), lo);
+        };
         if (arg == "--requests") {
             requests_file = next_value("--requests");
         } else if (arg == "--listen") {
             listen_spec = next_value("--listen");
         } else if (arg == "--max-connections") {
-            max_connections = std::strtoull(next_value("--max-connections"), nullptr, 10);
+            max_connections = number_flag("--max-connections", u64{0});
         } else if (arg == "--accept-threads") {
-            const unsigned long v =
-                std::strtoul(next_value("--accept-threads"), nullptr, 10);
-            accept_threads = v > 0 ? static_cast<u32>(v) : 1;
+            accept_threads = number_flag("--accept-threads", u32{1});
         } else if (arg == "--stream") {
             opts.streaming = true;
-        } else if (arg == "--admission") {
-            opts.admission.enabled = true;
-        } else if (arg == "--max-inflight") {
-            opts.admission.max_inflight_jobs =
-                std::strtoull(next_value("--max-inflight"), nullptr, 10);
-            opts.admission.enabled = true;
-        } else if (arg == "--max-queue-lines") {
-            opts.admission.max_queue_lines =
-                std::strtoull(next_value("--max-queue-lines"), nullptr, 10);
-            opts.admission.enabled = true;
-        } else if (arg == "--max-queue-bytes") {
-            opts.admission.max_queue_bytes =
-                std::strtoull(next_value("--max-queue-bytes"), nullptr, 10);
-            opts.admission.enabled = true;
-        } else if (arg == "--line-rate") {
-            opts.admission.line_rate = std::strtod(next_value("--line-rate"), nullptr);
-            opts.admission.enabled = true;
-        } else if (arg == "--retry-after-ms") {
-            opts.admission.retry_after_ms =
-                std::strtoull(next_value("--retry-after-ms"), nullptr, 10);
         } else if (arg == "--batch-max-lines") {
-            opts.limits.max_lines =
-                std::strtoull(next_value("--batch-max-lines"), nullptr, 10);
+            opts.limits.max_lines = number_flag("--batch-max-lines", u64{0});
         } else if (arg == "--batch-max-bytes") {
-            opts.limits.max_bytes =
-                std::strtoull(next_value("--batch-max-bytes"), nullptr, 10);
+            opts.limits.max_bytes = number_flag("--batch-max-bytes", u64{0});
         } else if (arg == "--threads") {
-            opts.threads = static_cast<u32>(std::strtoul(next_value("--threads"), nullptr, 10));
+            opts.threads = number_flag("--threads", u32{0});
         } else if (arg.rfind("--threads=", 0) == 0) {
-            opts.threads = static_cast<u32>(std::strtoul(arg.c_str() + 10, nullptr, 10));
+            opts.threads = cli::parse_number("--threads", arg.c_str() + 10, u32{0});
         } else if (arg == "--cache-capacity") {
-            opts.cache_capacity = std::strtoul(next_value("--cache-capacity"), nullptr, 10);
+            opts.cache_capacity = number_flag("--cache-capacity", std::size_t{0});
         } else if (arg.rfind("--cache-capacity=", 0) == 0) {
-            opts.cache_capacity = std::strtoul(arg.c_str() + 17, nullptr, 10);
+            opts.cache_capacity =
+                cli::parse_number("--cache-capacity", arg.c_str() + 17, std::size_t{0});
         } else if (arg == "--outcome-capacity") {
-            opts.outcome_capacity =
-                std::strtoul(next_value("--outcome-capacity"), nullptr, 10);
+            opts.outcome_capacity = number_flag("--outcome-capacity", std::size_t{0});
         } else if (arg.rfind("--outcome-capacity=", 0) == 0) {
-            opts.outcome_capacity = std::strtoul(arg.c_str() + 19, nullptr, 10);
+            opts.outcome_capacity =
+                cli::parse_number("--outcome-capacity", arg.c_str() + 19, std::size_t{0});
         } else if (arg == "--stats-json") {
             stats_json_path = next_value("--stats-json");
         } else if (arg == "--trace-json") {
@@ -179,8 +144,6 @@ int main(int argc, char** argv) {
                 std::fprintf(stderr, "--trace-clock must be wall or virtual\n");
                 return 2;
             }
-        } else if (arg == "--slo") {
-            slo_text = next_value("--slo");
         } else if (arg == "--quiet") {
             quiet = true;
         } else {
@@ -193,20 +156,8 @@ int main(int argc, char** argv) {
         return 2;
     }
 
-    obs::slo_spec slo;
-    if (!slo_text.empty()) {
-        std::string error;
-        if (!obs::parse_slo_spec(slo_text, &slo, &error)) {
-            std::fprintf(stderr, "bad --slo spec: %s\n", error.c_str());
-            return 2;
-        }
-    }
     const bool tracing = !trace_json_path.empty();
     if (tracing) obs::tracer::instance().enable(trace_clock);
-
-    // With admission on, the --slo spec doubles as the shed/admit feedback
-    // signal: the service tightens its own limits while the spec burns.
-    if (!slo_text.empty() && opts.admission.enabled) opts.slo_feedback = slo;
 
     serve::service svc(opts);
     serve::batch_stats stats;
@@ -235,6 +186,7 @@ int main(int argc, char** argv) {
         stats.rows = cs.rows;
         stats.errors = cs.errors;
         stats.jobs = cs.jobs;
+        stats.shed = cs.shed;
         conn_stats = cs;
         listened = true;
         if (!quiet) {
@@ -253,19 +205,6 @@ int main(int argc, char** argv) {
         stats = svc.serve_stream(std::cin, std::cout);
     }
 
-    // SLO verdict first (it feeds the stats JSON): evaluated against the
-    // session's end-to-end per-request latency, error rows over merged rows.
-    obs::slo_report slo_report;
-    if (!slo_text.empty()) {
-        obs::log_histogram request_latency;
-        for (const obs::histogram_entry& h : svc.stats_snapshot().histograms) {
-            if (h.name == "service.request_ns") request_latency = h.hist;
-        }
-        slo_report =
-            obs::evaluate_slo(slo, request_latency, stats.errors, stats.rows);
-        std::fputs(obs::format_slo_report(slo_report, "# slo: ").c_str(), stderr);
-    }
-
     if (!stats_json_path.empty()) {
         obs::metrics_snapshot snap = svc.stats_snapshot();
         if (listened) {
@@ -281,12 +220,7 @@ int main(int argc, char** argv) {
             snap.set_counter("trace.spans_dropped", tr.spans_dropped());
         }
         std::string error;
-        std::string admission_doc;
-        if (svc.admission().enabled()) admission_doc = svc.admission().to_json();
-        const std::string doc =
-            obs::stats_json(snap, slo_text.empty() ? nullptr : &slo_report,
-                            admission_doc.empty() ? nullptr : &admission_doc) +
-            "\n";
+        const std::string doc = obs::stats_json(snap) + "\n";
         if (!write_file_atomic(stats_json_path, doc, &error)) {
             std::fprintf(stderr, "cannot write --stats-json '%s': %s\n",
                          stats_json_path.c_str(), error.c_str());
@@ -339,17 +273,6 @@ int main(int argc, char** argv) {
                      static_cast<unsigned long long>(ps.steals()),
                      static_cast<unsigned long long>(ps.steal_attempts()),
                      100.0 * ps.steal_success_rate(), ps.busy_ms());
-        if (svc.admission().enabled()) {
-            const serve::admission_stats adm = svc.admission().stats();
-            std::fprintf(stderr,
-                         "# admission: admitted=%llu shed=%llu scale=%.3f "
-                         "tightenings=%llu recoveries=%llu\n",
-                         static_cast<unsigned long long>(adm.admitted),
-                         static_cast<unsigned long long>(adm.shed),
-                         svc.admission().scale(),
-                         static_cast<unsigned long long>(adm.slo_tightenings),
-                         static_cast<unsigned long long>(adm.slo_recoveries));
-        }
     }
-    return slo_report.violated ? 1 : 0;
+    return 0;
 }
