@@ -149,6 +149,7 @@ nzdc_program transform_nzdc(const program& input) {
     program prog;
     prog.text_base = input.text_base;
     prog.entry = input.text_base;
+    prog.rings = input.rings;
     prog.data = input.data;
     prog.text.reserve(fault_pos + 2);
     prog.text.insert(prog.text.end(), prologue.begin(), prologue.end());

@@ -23,6 +23,7 @@ ooo_core::ooo_core(const big_core_config& cfg, functional_memory& memory)
 
 void ooo_core::load_program(const program& prog) {
     prog_ = &prog;
+    for (const pointer_ring& ring : prog.rings) memory_.map_ring(ring);
     for (const data_blob& blob : prog.data) {
         memory_.map_image(blob.base, blob.bytes.data(), blob.bytes.size());
     }

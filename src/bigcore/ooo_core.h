@@ -84,12 +84,13 @@ class ooo_core {
 public:
     ooo_core(const big_core_config& cfg, functional_memory& memory);
 
-    // Installs the program: data blobs are mapped into memory by reference
-    // (copy-on-write, see functional_memory.h), the text is written to
-    // memory, PC moves to the entry point, the stack pointer (x2) to the
-    // default stack top. The core keeps reading `prog`'s text and data
-    // bytes, so `prog` must outlive the core and its memory and must not
-    // change while they are in use; a temporary does not compile.
+    // Installs the program: its pointer rings, then its data blobs, are
+    // mapped into memory by reference (copy-on-write, see
+    // functional_memory.h), the text is written to memory, PC moves to the
+    // entry point, the stack pointer (x2) to the default stack top. The core
+    // keeps reading `prog`'s text, rings and data bytes, so `prog` must
+    // outlive the core and its memory and must not change while they are in
+    // use; a temporary does not compile.
     void load_program(const program& prog);
     void load_program(program&&) = delete;
 

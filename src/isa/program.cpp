@@ -63,6 +63,10 @@ void program_builder::emit_lfd(areg_t fd, areg_t scratch_x, double value) {
     emit(make_r(opcode::fmv_d_x, fd, scratch_x, 0));
 }
 
+void program_builder::add_ring(addr_t base, std::vector<u32> next) {
+    prog_.rings.push_back({base, std::move(next)});
+}
+
 void program_builder::add_data(addr_t base, std::vector<u8> bytes) {
     prog_.data.push_back({base, std::move(bytes)});
 }

@@ -1,6 +1,8 @@
 // Program image and builder. A program is a flat text segment of decoded
-// instructions (8 bytes each in the simulated address space) plus initial
-// data blobs. The builder is the API workload generators use; the assembler
+// instructions (8 bytes each in the simulated address space) plus its initial
+// memory: pointer rings (pointer-chase tables kept as their node permutation,
+// see mem/pointer_ring.h) and data blobs. Loading maps the rings first, then
+// the blobs. The builder is the API workload generators use; the assembler
 // (assembler.h) parses the textual form used by tests and examples.
 #pragma once
 
@@ -10,6 +12,7 @@
 
 #include "common/types.h"
 #include "isa/instruction.h"
+#include "mem/pointer_ring.h"
 
 namespace meek {
 
@@ -26,6 +29,7 @@ struct program {
     addr_t text_base = k_default_text_base;
     addr_t entry = k_default_text_base;
     std::vector<instr> text;
+    std::vector<pointer_ring> rings;
     std::vector<data_blob> data;
 
     bool contains(addr_t pc) const {
@@ -64,6 +68,8 @@ public:
     // Load a double constant into an FP register via an integer staging reg.
     void emit_lfd(areg_t fd, areg_t scratch_x, double value);
 
+    // A pointer ring at `base` whose node i points to node next[i].
+    void add_ring(addr_t base, std::vector<u32> next);
     void add_data(addr_t base, std::vector<u8> bytes);
     // Little-endian image of `words` at `base` (one bulk copy).
     void add_data_words(addr_t base, const std::vector<u64>& words);

@@ -23,6 +23,12 @@ meek_soc::meek_soc(const soc_config& cfg)
       low_clock_(cfg.fabric.freq_mhz),
       deu_(cfg.little.lsl_entries(), cfg.little.rcp_instruction_timeout,
            cfg.big.commit_width) {
+    // Core i is bit i of dest_mask_t, and the controller needs a checker.
+    if (cfg.num_little_cores < 1 || cfg.num_little_cores > k_max_little_cores) {
+        throw std::invalid_argument("meek_soc: num_little_cores " +
+                                    std::to_string(cfg.num_little_cores) + " outside 1.." +
+                                    std::to_string(k_max_little_cores));
+    }
     big_ = std::make_unique<ooo_core>(cfg.big, memory_);
     for (u32 i = 0; i < cfg.num_little_cores; ++i) {
         littles_.push_back(std::make_unique<little_core>(cfg.little, i, memory_));

@@ -71,12 +71,14 @@ struct soc_stall_error : std::runtime_error {
 
 class meek_soc : public commit_sink {
 public:
+    // Throws std::invalid_argument unless 1 <= cfg.num_little_cores <=
+    // k_max_little_cores, the cores a dest_mask_t can address.
     meek_soc(const soc_config& cfg);
 
     // Loads the application program onto the big core (and makes the text
     // visible to the little cores' fetch path). The SoC's memory reads
-    // `prog`'s data bytes in place, so `prog` must outlive the SoC and must
-    // not change while it runs; a temporary does not compile.
+    // `prog`'s rings and data bytes in place, so `prog` must outlive the SoC
+    // and must not change while it runs; a temporary does not compile.
     void load_program(const program& prog);
     void load_program(program&&) = delete;
 

@@ -14,6 +14,23 @@ constexpr std::size_t k_blocks_per_chunk = 64;  // 8 KiB chunks of private block
 // of the value only on a little-endian host.
 static_assert(std::endian::native == std::endian::little);
 
+// Writes ring bytes [pos, pos + n) to `dst`, which holds zeros: only the
+// pointer half of each node is copied.
+void copy_ring(const pointer_ring& ring, u64 pos, u8* dst, u32 n) {
+    constexpr u32 k_node = pointer_ring::k_node_bytes;
+    for (u32 done = 0; done < n;) {
+        const u32 at = static_cast<u32>(pos % k_node);
+        const u32 span = std::min<u32>(n - done, k_node - at);
+        if (at < sizeof(u64)) {
+            const u64 ptr = ring.pointer(pos / k_node);
+            std::memcpy(dst + done, reinterpret_cast<const u8*>(&ptr) + at,
+                        std::min<u32>(span, sizeof(u64) - at));
+        }
+        done += span;
+        pos += span;
+    }
+}
+
 }  // namespace
 
 functional_memory::functional_memory()
@@ -68,9 +85,14 @@ void functional_memory::copy_out(const page& p, u32 off, u8* dst, u32 n) {
         std::memcpy(dst, block + off % k_block_bytes, n);
         return;
     }
-    const u32 lo = std::max<u32>(off, p.image_lo);
-    const u32 hi = std::min<u32>(off + n, p.image_hi);
-    if (lo < hi) std::memcpy(dst + (lo - off), p.image + (lo - p.image_lo), hi - lo);
+    const u32 lo = std::max<u32>(off, p.shared_lo);
+    const u32 hi = std::min<u32>(off + n, p.shared_hi);
+    if (lo >= hi) return;
+    if (p.ring) {
+        copy_ring(*p.ring, p.ring_skew + lo, dst + (lo - off), hi - lo);
+        return;
+    }
+    std::memcpy(dst + (lo - off), p.image + (lo - p.shared_lo), hi - lo);
 }
 
 u8* functional_memory::writable(page& p, u32 off) {
@@ -142,11 +164,32 @@ void functional_memory::map_image(addr_t addr, const u8* data, std::size_t len) 
         } else {
             page& p = touch_page(addr);
             p.image = data;
-            p.image_lo = static_cast<u16>(off);
-            p.image_hi = static_cast<u16>(off + n);
+            p.shared_lo = static_cast<u16>(off);
+            p.shared_hi = static_cast<u16>(off + n);
         }
         addr += n;
         data += n;
+        len -= n;
+    }
+}
+
+void functional_memory::map_ring(const pointer_ring& ring) {
+    addr_t addr = ring.base;
+    for (std::size_t len = ring.bytes(); len != 0;) {
+        const u32 off = addr % k_page_bytes;
+        const u32 n = static_cast<u32>(std::min<std::size_t>(len, k_page_bytes - off));
+        if (find_page(addr)) {
+            std::array<u8, k_page_bytes> bytes{};
+            copy_ring(ring, addr - ring.base, bytes.data(), n);
+            store(addr, bytes.data(), n);
+        } else {
+            page& p = touch_page(addr);
+            p.ring = &ring;
+            p.ring_skew = addr - off - ring.base;
+            p.shared_lo = static_cast<u16>(off);
+            p.shared_hi = static_cast<u16>(off + n);
+        }
+        addr += n;
         len -= n;
     }
 }

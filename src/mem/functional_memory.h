@@ -4,14 +4,18 @@
 //
 // Shared image: map_image() makes a page entry point at the caller's bytes
 // instead of copying them, so every memory that loads the same program reads
-// one copy of its data. Private blocks: the first write to a 128-byte block of
-// a page copies just that block (its image bytes, zeros elsewhere) into the
-// memory's own storage, and every later access to the block uses the copy.
-// A read checks the private block, then the image, then returns zero. The
-// image bytes are never written. Lifetime rule: mapped bytes are read in
-// place, so they must outlive the memory and must not change while it is in
-// use (ooo_core::load_program and meek_soc::load_program pass this on to the
-// program they load).
+// one copy of its data. map_ring() does the same for a pointer ring
+// (pointer_ring.h): the page references the ring's u32 permutation, and a
+// read synthesizes the 16-byte nodes from it, so a ring costs a quarter of
+// its byte image and is never materialized. A page holds at most one shared
+// source, image or ring. Private blocks: the first write to a 128-byte block
+// of a page copies just that block (its shared bytes, zeros elsewhere) into
+// the memory's own storage, and every later access to the block uses the
+// copy. A read checks the private block, then the shared source, then returns
+// zero. The shared bytes and rings are never written. Lifetime rule: mapped
+// bytes and rings are read in place, so they must outlive the memory and must
+// not change while it is in use (ooo_core::load_program and
+// meek_soc::load_program pass this on to the program they load).
 //
 // The page table is an open-addressing hash (power-of-two slot array, linear
 // probing, at most half full) from page number to page. Pages and private
@@ -24,6 +28,7 @@
 #include <vector>
 
 #include "common/types.h"
+#include "mem/pointer_ring.h"
 
 namespace meek {
 
@@ -53,6 +58,10 @@ public:
     // page already written or mapped the bytes are written like a store, so a
     // later mapping wins where two overlap.
     void map_image(addr_t addr, const u8* data, std::size_t len);
+    // Makes ring.base.. read as ring.materialize() without building it: pages
+    // not yet present reference `ring` in place (same lifetime rule), pages
+    // already present take the node bytes as stores.
+    void map_ring(const pointer_ring& ring);
 
     std::size_t allocated_pages() const { return pages_.size(); }
     std::size_t private_blocks() const { return private_blocks_; }
@@ -61,11 +70,15 @@ private:
     static constexpr u32 k_blocks_per_page = k_page_bytes / k_block_bytes;
 
     struct page {
-        // Image bytes cover page offsets [image_lo, image_hi); `image` is the
-        // byte at image_lo. No image when image_lo == image_hi.
+        // Shared bytes cover page offsets [shared_lo, shared_hi); none when
+        // shared_lo == shared_hi. They come from `ring` when it is set (page
+        // offset o is ring byte ring_skew + o, mod 2^64), else from `image`,
+        // the byte at shared_lo.
         const u8* image = nullptr;
-        u16 image_lo = 0;
-        u16 image_hi = 0;
+        const pointer_ring* ring = nullptr;
+        u64 ring_skew = 0;
+        u16 shared_lo = 0;
+        u16 shared_hi = 0;
         std::array<u8*, k_blocks_per_page> blocks{};  // null: not written yet
     };
 

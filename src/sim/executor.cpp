@@ -1,6 +1,11 @@
 #include "sim/executor.h"
 
+#include <charconv>
 #include <cstdlib>
+#include <stdexcept>
+#include <string>
+#include <string_view>
+#include <system_error>
 #include <thread>
 
 namespace meek::sim {
@@ -15,13 +20,21 @@ u64 derive_stream_seed(u64 base_seed, u64 stream_index) {
 }
 
 u32 resolve_thread_count(u32 requested) {
+    if (requested > k_max_threads) {
+        throw std::invalid_argument("thread count " + std::to_string(requested) +
+                                    " above " + std::to_string(k_max_threads));
+    }
     if (requested > 0) return requested;
     if (const char* env = std::getenv("MEEK_THREADS")) {
-        const long v = std::strtol(env, nullptr, 10);
-        if (v > 0) return static_cast<u32>(v);
+        const std::string_view text(env);
+        u32 v = 0;
+        const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), v);
+        if (ec == std::errc{} && end == text.data() + text.size() && v >= 1 &&
+            v <= k_max_threads) {
+            return v;
+        }
     }
-    const u32 hw = std::thread::hardware_concurrency();
-    return hw > 0 ? hw : 1;
+    return std::clamp<u32>(std::thread::hardware_concurrency(), 1, k_max_threads);
 }
 
 executor::executor(u32 num_threads) : pool_(resolve_thread_count(num_threads)) {}

@@ -67,14 +67,22 @@ struct executor_timing {
 // streams for adjacent indices, stable across platforms and thread counts.
 u64 derive_stream_seed(u64 base_seed, u64 stream_index);
 
-// Worker-count resolution: `requested` if nonzero, else the MEEK_THREADS
-// environment variable if set and positive, else hardware_concurrency
-// (floored at 1).
+// Upper bound on worker threads, from any source: far above any useful
+// count, and low enough that a mistyped count cannot exhaust the process.
+inline constexpr u32 k_max_threads = 1024;
+
+// Worker-count resolution: `requested` if nonzero (std::invalid_argument
+// above k_max_threads), else MEEK_THREADS if it is a whole decimal number in
+// 1..k_max_threads, else hardware_concurrency (floored at 1, capped at
+// k_max_threads). An unset, malformed ("8x") or out-of-range MEEK_THREADS is
+// ignored.
 u32 resolve_thread_count(u32 requested = 0);
 
 class executor {
 public:
-    // `num_threads == 0` resolves via MEEK_THREADS / hardware_concurrency.
+    // `num_threads == 0` resolves via MEEK_THREADS / hardware_concurrency;
+    // more than k_max_threads throws std::invalid_argument before any
+    // thread starts (see resolve_thread_count).
     explicit executor(u32 num_threads = 0);
 
     executor(const executor&) = delete;

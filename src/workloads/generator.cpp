@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <numeric>
 
@@ -190,13 +189,15 @@ generated_workload generate_workload(const workload_profile& prof,
     // --- Pointer-chase table (Sattolo single-cycle permutation) ---
     // 16-byte nodes: next pointer at +0, store payload at +8 (zero). Used by
     // irregular accesses. The table covers at most 4 MiB, i.e. 2^18 nodes, so
-    // node indices fit a u32; the cap bounds the image every run loads.
-    // Each node's pointer is written straight into the final image bytes.
+    // node indices fit a u32; the cap bounds the table every run loads.
+    // The program keeps the permutation itself as a pointer ring, a quarter
+    // of the node bytes; memory synthesizes the nodes when they are read.
     const addr_t chase_base = k_default_data_base + 0x10000000;
     constexpr u64 chase_max_bytes = 4ull << 20;
-    static_assert(chase_max_bytes / 16 <= std::numeric_limits<u32>::max());
-    const u64 chase_nodes =
-        std::max<u64>(16, std::min<u64>(ws_bytes, chase_max_bytes) / 16);
+    static_assert(chase_max_bytes / pointer_ring::k_node_bytes <=
+                  std::numeric_limits<u32>::max());
+    const u64 chase_nodes = std::max<u64>(
+        16, std::min<u64>(ws_bytes, chase_max_bytes) / pointer_ring::k_node_bytes);
     if (prof.irregular_frac > 0.0) {
         std::vector<u32> perm(chase_nodes);
         std::iota(perm.begin(), perm.end(), u32{0});
@@ -204,14 +205,7 @@ generated_workload generate_workload(const workload_profile& prof,
             const u64 j = r.below(i);  // Sattolo: j < i gives one full cycle
             std::swap(perm[i], perm[j]);
         }
-        static_assert(std::endian::native == std::endian::little,
-                      "data images are little-endian; a host u64 copies as-is");
-        std::vector<u8> image(16 * chase_nodes, 0);
-        for (u64 i = 0; i < chase_nodes; ++i) {
-            const u64 next = chase_base + u64{perm[i]} * 16;
-            std::memcpy(image.data() + 16 * i, &next, sizeof next);
-        }
-        b.add_data(chase_base, std::move(image));
+        b.add_ring(chase_base, std::move(perm));
     }
 
     // --- Prologue ---

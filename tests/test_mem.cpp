@@ -222,6 +222,127 @@ TEST(functional_memory, partial_writes_preserve_neighbors) {
     EXPECT_EQ(m.read(0x100, 8), 0xFFFFFFFF0000FFFFull);
 }
 
+// A single-cycle ring of `nodes` nodes (Sattolo shuffle, as the generator
+// draws it).
+pointer_ring random_ring(addr_t base, u32 nodes, u64 seed) {
+    pointer_ring ring{base, std::vector<u32>(nodes)};
+    for (u32 i = 0; i < nodes; ++i) ring.next[i] = i;
+    rng r(seed);
+    for (u32 i = nodes - 1; i > 0; --i) std::swap(ring.next[i], ring.next[r.below(i)]);
+    return ring;
+}
+
+u64 flat_read(const std::vector<u8>& flat, std::size_t at, u8 size) {
+    u64 value = 0;
+    std::memcpy(&value, flat.data() + at, size);
+    return value;
+}
+
+TEST(pointer_ring, materialize_lays_out_little_endian_pointers_and_zero_payloads) {
+    const pointer_ring ring{0x1000, {2, 0, 1}};
+    const std::vector<u8> bytes = ring.materialize();
+    ASSERT_EQ(bytes.size(), 48u);
+    const std::vector<u8> node0 = {0x20, 0x10, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0};
+    EXPECT_TRUE(std::equal(node0.begin(), node0.end(), bytes.begin()));
+    EXPECT_EQ(flat_read(bytes, 16, 8), 0x1000u);
+    EXPECT_EQ(flat_read(bytes, 32, 8), 0x1010u);
+}
+
+// Reads and writes of every size at every alignment around node, block and
+// page edges, then at random, against the materialized bytes. One ring starts
+// on a page boundary, one mid-page; both end mid-page.
+TEST(functional_memory, ring_accesses_match_the_materialized_bytes) {
+    for (const addr_t base : {addr_t{0x90000}, addr_t{0x90000 + 0x438}}) {
+        SCOPED_TRACE(base);
+        const pointer_ring ring = random_ring(base, 3 * k_page / 16 + 37, base);
+        const std::vector<u32> next = ring.next;
+        const addr_t lo = base - 64;  // reference covers a zero margin each side
+        std::vector<u8> ref(64 + ring.bytes() + 64, 0);
+        const std::vector<u8> image = ring.materialize();
+        std::copy(image.begin(), image.end(), ref.begin() + 64);
+
+        functional_memory m;
+        m.map_ring(ring);
+        for (addr_t a = lo; a + 8 <= lo + ref.size(); ++a) {
+            for (const u8 size : {1, 2, 4, 8}) {
+                ASSERT_EQ(m.read(a, size), flat_read(ref, a - lo, size))
+                    << a << " size " << int{size};
+            }
+        }
+        EXPECT_EQ(m.private_blocks(), 0u);  // reads never copy
+
+        rng r(base);
+        for (int step = 0; step < 20'000; ++step) {
+            const u8 size = u8{1} << r.below(4);
+            const addr_t off = r.below(ref.size() - 8);
+            if (r.chance(0.3)) {
+                const u64 value = r.next();
+                m.write(lo + off, size, value);
+                std::memcpy(ref.data() + off, &value, size);
+            } else {
+                ASSERT_EQ(m.read(lo + off, size), flat_read(ref, off, size)) << "step " << step;
+            }
+        }
+        for (addr_t a = lo; a + 8 <= lo + ref.size(); a += 8) {
+            ASSERT_EQ(m.read(a, 8), flat_read(ref, a - lo, 8)) << a;
+        }
+        EXPECT_EQ(ring.next, next);
+    }
+}
+
+TEST(functional_memory, a_16_node_ring_covers_part_of_one_page) {
+    const pointer_ring ring = random_ring(0xA0100, 16, 11);
+    functional_memory m;
+    m.map_ring(ring);
+    EXPECT_EQ(m.allocated_pages(), 1u);
+    EXPECT_EQ(m.read(ring.base - 8, 8), 0u);
+    EXPECT_EQ(m.read(ring.base + ring.bytes(), 8), 0u);
+    for (u32 i = 0; i < 16; ++i) {
+        EXPECT_EQ(m.read(ring.base + 16 * i, 8), ring.base + 16 * u64{ring.next[i]}) << i;
+        EXPECT_EQ(m.read(ring.base + 16 * i + 8, 8), 0u) << i;
+    }
+    // Following the pointers from node 0 visits every node once.
+    addr_t at = ring.base;
+    for (u32 i = 1; i < 16; ++i) {
+        at = m.read(at, 8);
+        ASSERT_NE(at, ring.base) << "cycle closed after " << i << " nodes";
+    }
+    EXPECT_EQ(m.read(at, 8), ring.base);
+}
+
+TEST(functional_memory, a_ring_mapped_over_a_written_page_takes_its_bytes_as_stores) {
+    const pointer_ring ring = random_ring(0xB0080, 300, 12);  // ends mid-second page
+    functional_memory m;
+    m.write(0xB0000, 8, 0x1111111111111111ull);  // outside the ring
+    m.write(0xB0108, 8, 0x2222222222222222ull);  // inside it, over a payload
+    m.map_ring(ring);
+    EXPECT_EQ(m.read(0xB0000, 8), 0x1111111111111111ull);
+    const std::vector<u8> image = ring.materialize();
+    for (std::size_t i = 0; i < image.size(); ++i) {
+        ASSERT_EQ(m.read_byte(ring.base + i), image[i]) << i;
+    }
+    EXPECT_EQ(m.read_byte(ring.base + image.size()), 0);
+    EXPECT_EQ(m.allocated_pages(), 2u);
+}
+
+TEST(functional_memory, two_memories_over_one_ring_never_see_each_others_writes) {
+    const pointer_ring ring = random_ring(0xC0000, 2 * k_page / 16, 13);
+    const std::vector<u32> next = ring.next;
+    functional_memory a, b;
+    a.map_ring(ring);
+    b.map_ring(ring);
+    const addr_t node = ring.base + 16 * 70;
+    a.write(node, 8, 0xAAAAAAAAAAAAAAAAull);
+    b.write(node + 8, 8, 0xBBBBBBBBBBBBBBBBull);
+    EXPECT_EQ(a.read(node, 8), 0xAAAAAAAAAAAAAAAAull);
+    EXPECT_EQ(a.read(node + 8, 8), 0u);
+    EXPECT_EQ(b.read(node, 8), ring.pointer(70));
+    EXPECT_EQ(b.read(node + 8, 8), 0xBBBBBBBBBBBBBBBBull);
+    EXPECT_EQ(a.private_blocks(), 1u);
+    EXPECT_EQ(b.private_blocks(), 1u);
+    EXPECT_EQ(ring.next, next);
+}
+
 cache_config small_cache() {
     return {"test", 1024, 2, 64, 2, 1};  // 8 sets x 2 ways
 }

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -123,6 +124,35 @@ TEST(executor, thread_count_resolution_prefers_explicit_request) {
     EXPECT_GE(sim::resolve_thread_count(0), 1u);
     sim::executor ex(2);
     EXPECT_EQ(ex.num_threads(), 2u);
+}
+
+// Counts are only resolved here, never handed to a pool.
+TEST(executor, thread_counts_above_the_bound_are_refused_or_ignored) {
+    EXPECT_EQ(sim::resolve_thread_count(sim::k_max_threads), sim::k_max_threads);
+    EXPECT_THROW(sim::resolve_thread_count(sim::k_max_threads + 1), std::invalid_argument);
+    EXPECT_THROW(sim::resolve_thread_count(4294967295u), std::invalid_argument);
+
+    const char* saved = std::getenv("MEEK_THREADS");
+    const std::string restore = saved ? saved : "";
+    unsetenv("MEEK_THREADS");
+    const u32 fallback = sim::resolve_thread_count(0);
+    EXPECT_GE(fallback, 1u);
+    EXPECT_LE(fallback, sim::k_max_threads);
+    setenv("MEEK_THREADS", "7", 1);
+    EXPECT_EQ(sim::resolve_thread_count(0), 7u);
+    EXPECT_EQ(sim::resolve_thread_count(3), 3u);  // an explicit count wins
+    setenv("MEEK_THREADS", "1024", 1);
+    EXPECT_EQ(sim::resolve_thread_count(0), 1024u);
+    for (const char* bad : {"8x", "1025", "4294967295", "99999999999", "0", "-4", "", " 8",
+                            "+8"}) {
+        setenv("MEEK_THREADS", bad, 1);
+        EXPECT_EQ(sim::resolve_thread_count(0), fallback) << "'" << bad << "'";
+    }
+    if (saved) {
+        setenv("MEEK_THREADS", restore.c_str(), 1);
+    } else {
+        unsetenv("MEEK_THREADS");
+    }
 }
 
 TEST(scenario_registry, round_trips_every_named_config) {
@@ -303,13 +333,16 @@ struct one_program : workload_source {
 
 u64 blob_digest(const program& prog) {
     fnv1a h;
+    for (const pointer_ring& ring : prog.rings) {
+        h.bytes(reinterpret_cast<const u8*>(ring.next.data()), ring.next.size() * sizeof(u32));
+    }
     for (const data_blob& blob : prog.data) h.bytes(blob.bytes.data(), blob.bytes.size());
     return h.h;
 }
 
-// Every SoC maps the program's data image by reference and copies only the
-// blocks it writes: SoCs running one program at once on several threads must
-// neither see each other's stores nor change the program's bytes.
+// Every SoC maps the program's rings and data image by reference and copies
+// only the blocks it writes: SoCs running one program at once on several
+// threads must neither see each other's stores nor change the program's bytes.
 TEST(sim_jobs, concurrent_socs_over_one_program_share_its_image_read_only) {
     const workload_profile& p = *find_profile("dedup");
     one_program source;

@@ -55,6 +55,19 @@ TEST(soc_smoke, fault_free_run_verifies) {
     EXPECT_EQ(replayed, soc.big_core().stats().instructions);
 }
 
+// No checker at all, or one that bit() cannot address, is refused at
+// construction; neither SoC ever runs.
+TEST(soc_smoke, little_core_counts_outside_the_destination_mask_do_not_construct) {
+    for (const u32 cores : {0u, k_max_little_cores + 1}) {
+        soc_config cfg;
+        cfg.num_little_cores = cores;
+        EXPECT_THROW(meek_soc{cfg}, std::invalid_argument) << cores;
+    }
+    soc_config cfg;
+    cfg.num_little_cores = k_max_little_cores;
+    EXPECT_NO_THROW(meek_soc{cfg});
+}
+
 TEST(soc_smoke, checking_disabled_runs_clean) {
     soc_config cfg;
     meek_soc soc(cfg);

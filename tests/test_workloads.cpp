@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "bigcore/ooo_core.h"
 #include "common/bits.h"
@@ -177,20 +178,62 @@ TEST(generator, instruction_budget_is_respected) {
     }
 }
 
+// The chase table is a pointer ring holding the Sattolo permutation; its
+// materialized bytes are the 16-byte node image the generator used to build
+// (pointer at +0, little-endian, zero payload at +8), and a loaded core reads
+// exactly those bytes.
+TEST(generator, chase_ring_materializes_the_node_image) {
+    const generated_workload wl = generate_workload(*find_profile("mcf"), 12'000, 1);
+    ASSERT_EQ(wl.prog.rings.size(), 1u);
+    const pointer_ring& ring = wl.prog.rings[0];
+    EXPECT_EQ(ring.base, k_default_data_base + 0x10000000);
+    ASSERT_EQ(ring.next.size(), (4u << 20) / 16);
+    const std::vector<u8> image = ring.materialize();
+    ASSERT_EQ(image.size(), 16 * ring.next.size());
+    for (std::size_t i = 0; i < ring.next.size(); ++i) {
+        u64 pointer = 0;
+        for (u32 b = 0; b < 8; ++b) pointer |= u64{image[16 * i + b]} << (8 * b);
+        ASSERT_EQ(pointer, ring.base + 16 * u64{ring.next[i]}) << i;
+        for (u32 b = 8; b < 16; ++b) ASSERT_EQ(image[16 * i + b], 0) << i;
+    }
+    // One cycle through every node.
+    std::vector<bool> seen(ring.next.size());
+    u32 node = 0;
+    for (std::size_t step = 0; step < ring.next.size(); ++step) {
+        ASSERT_FALSE(seen[node]) << step;
+        seen[node] = true;
+        node = ring.next[node];
+    }
+    EXPECT_EQ(node, 0u);
+
+    functional_memory memory;
+    ooo_core core(big_core_config{}, memory);
+    core.load_program(wl.prog);
+    for (std::size_t i = 0; i < image.size(); i += 8) {
+        u64 word = 0;
+        for (u32 b = 0; b < 8; ++b) word |= u64{image[i + b]} << (8 * b);
+        ASSERT_EQ(memory.read(ring.base + i, 8), word) << i;
+    }
+}
+
 // One row of tests/data/workload_images_expected.csv: the generated
 // program's shape plus an FNV-1a digest over encode() of every instruction
-// and every data blob's base and bytes.
+// and every blob's base and bytes. Pointer rings count as blobs of their
+// materialized bytes, ahead of the data blobs: the chase table was the first
+// data blob before it was kept as a ring, so the pinned rows still hold.
 std::string image_row(const workload_profile& p, u64 instructions, u64 seed) {
     const generated_workload wl = generate_workload(p, instructions, seed);
     fnv1a h;
     for (const instr& ins : wl.prog.text) h.u(encode(ins));
     std::string blob_bytes;
-    for (const data_blob& blob : wl.prog.data) {
-        h.u(blob.base);
-        h.bytes(blob.bytes.data(), blob.bytes.size());
+    const auto add_blob = [&](addr_t base, const std::vector<u8>& bytes) {
+        h.u(base);
+        h.bytes(bytes.data(), bytes.size());
         if (!blob_bytes.empty()) blob_bytes += ';';
-        blob_bytes += std::to_string(blob.bytes.size());
-    }
+        blob_bytes += std::to_string(bytes.size());
+    };
+    for (const pointer_ring& ring : wl.prog.rings) add_blob(ring.base, ring.materialize());
+    for (const data_blob& blob : wl.prog.data) add_blob(blob.base, blob.bytes);
     char digest[17];
     std::snprintf(digest, sizeof digest, "%016llx", static_cast<unsigned long long>(h.h));
     return p.name + ',' + std::to_string(instructions) + ',' + std::to_string(seed) + ',' +

@@ -12,7 +12,8 @@
 //
 // The sweep runs in this process; `--threads` is the only parallelism.
 // Numeric flags must parse whole and in range (`--instructions` >= 1,
-// `--keep` in (0, 1]); a bad value is a usage error (exit 2, no rows).
+// `--keep` in (0, 1], `--threads` at most 1024); a bad value is a usage error
+// (exit 2, no rows).
 //
 // stdout carries only result rows (CSV by default, `--format ndjson` for
 // line-delimited JSON; `--all` emits dominated rows too, with a frontier 0/1
@@ -114,9 +115,10 @@ int main(int argc, char** argv) {
         } else if (arg == "--no-registry") {
             include_registry = false;
         } else if (arg == "--threads") {
-            threads = number_flag("--threads", u32{0});
+            threads = number_flag("--threads", u32{0}, sim::k_max_threads);
         } else if (arg.rfind("--threads=", 0) == 0) {
-            threads = cli::parse_number("--threads", arg.c_str() + 10, u32{0});
+            threads = cli::parse_number("--threads", arg.c_str() + 10, u32{0},
+                                        sim::k_max_threads);
         } else if (arg == "--format") {
             const std::string v = next_value("--format");
             if (v == "ndjson") {

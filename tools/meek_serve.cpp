@@ -12,7 +12,8 @@
 //                                   each batch's rows end with a blank line).
 //
 // Options:
-//   --threads N            worker threads (default: MEEK_THREADS / hardware)
+//   --threads N            worker threads, at most 1024 (default: MEEK_THREADS
+//                          / hardware)
 //   --cache-capacity N     workload cache entries (default 64; 0 disables)
 //   --outcome-capacity N   completed-result cache entries (default 256;
 //                          0 disables — every request simulates)
@@ -52,7 +53,9 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
+#include <string_view>
 
 #include "cli_number.h"
 #include "common/atomic_file.h"
@@ -60,6 +63,7 @@
 #include "obs/trace.h"
 #include "serve/service.h"
 #include "serve/transport.h"
+#include "sim/executor.h"
 
 using namespace meek;
 
@@ -99,8 +103,9 @@ int main(int argc, char** argv) {
             }
             return argv[++i];
         };
-        auto number_flag = [&]<typename T>(const char* flag, T lo) {
-            return cli::parse_number(flag, next_value(flag), lo);
+        auto number_flag = [&]<typename T>(const char* flag, T lo,
+                                           T hi = std::numeric_limits<T>::max()) {
+            return cli::parse_number(flag, next_value(flag), lo, hi);
         };
         if (arg == "--requests") {
             requests_file = next_value("--requests");
@@ -117,9 +122,10 @@ int main(int argc, char** argv) {
         } else if (arg == "--batch-max-bytes") {
             opts.limits.max_bytes = number_flag("--batch-max-bytes", u64{0});
         } else if (arg == "--threads") {
-            opts.threads = number_flag("--threads", u32{0});
+            opts.threads = number_flag("--threads", u32{0}, sim::k_max_threads);
         } else if (arg.rfind("--threads=", 0) == 0) {
-            opts.threads = cli::parse_number("--threads", arg.c_str() + 10, u32{0});
+            opts.threads = cli::parse_number("--threads", arg.c_str() + 10, u32{0},
+                                             sim::k_max_threads);
         } else if (arg == "--cache-capacity") {
             opts.cache_capacity = number_flag("--cache-capacity", std::size_t{0});
         } else if (arg.rfind("--cache-capacity=", 0) == 0) {
@@ -160,7 +166,6 @@ int main(int argc, char** argv) {
     if (tracing) obs::tracer::instance().enable(trace_clock);
 
     serve::service svc(opts);
-    serve::batch_stats stats;
     serve::serve_connections_stats conn_stats;
     bool listened = false;
 
@@ -179,19 +184,13 @@ int main(int argc, char** argv) {
         // The resolved address (ephemeral tcp ports in particular) goes to
         // stderr so a driver can discover where to connect.
         std::fprintf(stderr, "# listening on %s\n", lis->address().describe().c_str());
-        const serve::serve_connections_stats cs = serve::serve_connections(
+        conn_stats = serve::serve_connections(
             svc, *lis,
             {.max_connections = max_connections, .accept_threads = accept_threads});
-        stats.requests = cs.requests;
-        stats.rows = cs.rows;
-        stats.errors = cs.errors;
-        stats.jobs = cs.jobs;
-        stats.shed = cs.shed;
-        conn_stats = cs;
         listened = true;
         if (!quiet) {
             std::fprintf(stderr, "# connections=%llu\n",
-                         static_cast<unsigned long long>(cs.connections));
+                         static_cast<unsigned long long>(conn_stats.connections));
         }
     } else if (!requests_file.empty()) {
         std::ifstream in(requests_file);
@@ -200,9 +199,9 @@ int main(int argc, char** argv) {
                          requests_file.c_str());
             return 1;
         }
-        stats = svc.serve_stream(in, std::cout);
+        svc.serve_stream(in, std::cout);
     } else {
-        stats = svc.serve_stream(std::cin, std::cout);
+        svc.serve_stream(std::cin, std::cout);
     }
 
     if (!stats_json_path.empty()) {
@@ -241,6 +240,14 @@ int main(int argc, char** argv) {
     }
 
     if (!quiet) {
+        // Every mode reads the session totals from the service's registry, so
+        // the line matches --stats-json's service.* counters (listen mode
+        // included, where no single serve_stream call sees every batch).
+        const obs::metrics_snapshot snap = svc.stats_snapshot();
+        const auto count = [&snap](std::string_view name) {
+            const u64* v = snap.counter_value(name);
+            return static_cast<unsigned long long>(v ? *v : 0);
+        };
         const serve::workload_cache_stats cs = svc.cache().stats();
         const serve::outcome_cache_stats os = svc.outcomes().stats();
         const sim::executor_timing t = svc.pool().timing();
@@ -253,14 +260,10 @@ int main(int argc, char** argv) {
                      "# job wall-time ms: min=%.2f mean=%.2f max=%.2f total=%.2f\n"
                      "# sched: executed=%llu steals=%llu steal_attempts=%llu "
                      "steal_success=%.1f%% busy_ms=%.2f\n",
-                     static_cast<unsigned long long>(stats.requests),
-                     static_cast<unsigned long long>(stats.rows),
-                     static_cast<unsigned long long>(stats.errors),
-                     static_cast<unsigned long long>(stats.jobs),
-                     svc.pool().num_threads(),
-                     static_cast<unsigned long long>(stats.shed),
-                     static_cast<unsigned long long>(stats.stream_errors),
-                     static_cast<unsigned long long>(stats.client_aborts),
+                     count("service.requests"), count("service.rows"),
+                     count("service.errors"), count("service.jobs"),
+                     svc.pool().num_threads(), count("service.shed"),
+                     count("service.stream_errors"), count("service.client_aborts"),
                      static_cast<unsigned long long>(cs.hits),
                      static_cast<unsigned long long>(cs.misses),
                      static_cast<unsigned long long>(cs.evictions),
