@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "../tools/cli_number.h"
 #include "common/stats.h"
 #include "report/table.h"
 #include "sim/executor.h"
@@ -33,12 +34,13 @@ struct bench_options {
                 o.instructions = 500'000;
                 o.faults_per_workload = 2'000;
             }
+            // Whole decimal in 0..k_max_threads (0: auto), else exit 2.
             if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-                const int v = std::atoi(argv[i] + 10);
-                o.threads = v > 0 ? static_cast<u32>(v) : 0;  // <= 0: auto
+                o.threads = cli::parse_number<u32>("--threads", argv[i] + 10, 0,
+                                                   sim::k_max_threads);
             } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-                const int v = std::atoi(argv[++i]);
-                o.threads = v > 0 ? static_cast<u32>(v) : 0;
+                o.threads =
+                    cli::parse_number<u32>("--threads", argv[++i], 0, sim::k_max_threads);
             }
         }
         return o;

@@ -41,29 +41,23 @@ tage_predictor::tage_predictor(const branch_predictor_config& cfg)
       history_lengths_(
           geometric_lengths(cfg.tage_tables, cfg.tage_min_history, cfg.tage_max_history)),
       tables_(cfg.tage_tables, std::vector<entry>(cfg.tage_entries_per_table)),
-      bimodal_(4096, 0) {}
-
-u64 tage_predictor::folded_history(u32 bits_used, u32 fold_to) const {
-    u64 folded = 0;
-    u64 h = ghist_ & mask64(bits_used);
-    while (bits_used > 0) {
-        folded ^= h & mask64(fold_to);
-        h >>= fold_to;
-        bits_used = bits_used > fold_to ? bits_used - fold_to : 0;
+      bimodal_(4096, 0) {
+    for (const u32 len : history_lengths_) {
+        index_folds_.emplace_back(len, log2_floor(cfg.tage_entries_per_table));
+        tag_folds_.emplace_back(len, cfg.tage_tag_bits);
     }
-    return folded;
 }
 
 u32 tage_predictor::table_index(addr_t pc, u32 table) const {
     const u32 idx_bits = log2_floor(cfg_.tage_entries_per_table);
-    const u64 h = folded_history(history_lengths_[table], idx_bits);
+    const u64 h = index_folds_[table].value();
     const u64 p = pc >> 3;
     return static_cast<u32>((p ^ (p >> idx_bits) ^ h ^ (table * 0x9e37)) &
                             mask64(idx_bits));
 }
 
 u16 tage_predictor::table_tag(addr_t pc, u32 table) const {
-    const u64 h = folded_history(history_lengths_[table], cfg_.tage_tag_bits);
+    const u64 h = tag_folds_[table].value();
     const u64 p = pc >> 3;
     return static_cast<u16>((p ^ (p >> cfg_.tage_tag_bits) ^ (h << 1) ^ table) &
                             mask64(cfg_.tage_tag_bits));
@@ -141,6 +135,11 @@ void tage_predictor::update(addr_t pc, const tage_prediction& pred, bool taken) 
         }
     }
 
+    for (u32 t = 0; t < cfg_.tage_tables; ++t) {
+        const bool leaving = (ghist_ >> (history_lengths_[t] - 1)) & 1;
+        index_folds_[t].shift(taken, leaving);
+        tag_folds_[t].shift(taken, leaving);
+    }
     ghist_ = (ghist_ << 1) | (taken ? 1 : 0);
 }
 

@@ -8,6 +8,7 @@
 
 #include <vector>
 
+#include "common/bits.h"
 #include "common/config.h"
 #include "common/types.h"
 
@@ -35,6 +36,29 @@ struct tage_prediction {
     bool new_alloc_candidate = false;
 };
 
+// XOR-fold of the newest `length` bits of a global history into `width`
+// bits, kept incrementally: each shift rotates the fold by one, inserts the
+// new bit and removes the bit leaving the window, which sits at
+// length % width after the rotation.
+class folded_history {
+public:
+    folded_history(u32 length, u32 width)
+        : width_(width), mask_(mask64(width)), leave_at_(length % width) {}
+
+    // `leaving` is bit length-1 of the history before the shift.
+    void shift(bool in, bool leaving) {
+        value_ = ((value_ << 1) | (value_ >> (width_ - 1))) & mask_;
+        value_ ^= u64{in} ^ (u64{leaving} << leave_at_);
+    }
+    u64 value() const { return value_; }
+
+private:
+    u32 width_;
+    u64 mask_;
+    u32 leave_at_;
+    u64 value_ = 0;
+};
+
 class tage_predictor {
 public:
     explicit tage_predictor(const branch_predictor_config& cfg);
@@ -53,10 +77,11 @@ private:
 
     u32 table_index(addr_t pc, u32 table) const;
     u16 table_tag(addr_t pc, u32 table) const;
-    u64 folded_history(u32 bits_used, u32 fold_to) const;
 
     branch_predictor_config cfg_;
     std::vector<u32> history_lengths_;
+    std::vector<folded_history> index_folds_;  // per table, to the index width
+    std::vector<folded_history> tag_folds_;    // per table, to the tag width
     std::vector<std::vector<entry>> tables_;
     std::vector<i8> bimodal_;  // 2-bit counters, taken when >= 0
     u64 ghist_ = 0;

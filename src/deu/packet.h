@@ -24,18 +24,20 @@ using dest_mask_t = u16;  // bit i = little core i
 // The most little cores a status multicast can address: one mask bit each.
 inline constexpr u32 k_max_little_cores = sizeof(dest_mask_t) * 8;
 
+// Narrow fields first: 48 bytes with no padding holes, since every packet is
+// copied into a landing queue and an LSL on its way.
 struct fwd_packet {
     packet_kind kind = packet_kind::runtime_load;
-    u32 segment = 0;      // segment this packet belongs to
-    u16 word_index = 0;   // for status words
-    addr_t addr = 0;
-    u64 data = 0;
     u8 size = 0;          // memory access size for runtime packets
     u8 parity = 0;        // parity accompanying load data through the LSQ
-    u64 seq = 0;          // committing instruction's dynamic number
+    bool fault_injected = false;  // campaign marker: this packet was corrupted
+    u16 word_index = 0;   // for status words
     dest_mask_t dest = 0;
+    u32 segment = 0;      // segment this packet belongs to
+    addr_t addr = 0;
+    u64 data = 0;
+    u64 seq = 0;          // committing instruction's dynamic number
     cycle_t created_big_cycle = 0;  // injection timestamp (fault latency base)
-    bool fault_injected = false;    // campaign marker: this packet was corrupted
 };
 
 // Snapshot <-> word-stream packing. Layout: word 0 = PC, words 1..32 = x1..x31

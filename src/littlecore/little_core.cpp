@@ -1,6 +1,7 @@
 #include "littlecore/little_core.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "common/bits.h"
 
@@ -121,6 +122,9 @@ void little_core::assign_segment(const segment_job& job) {
     start_seq_ = job.start_seq;
     replayed_ = 0;
     lsl_.reserve(job.segment);
+    inbox_.clear();  // everything handed over so far landed before the reserve
+    inbox_head_ = 0;
+    fetch_line_ = ~u64{0};  // a stalled step of the last segment may have fetched since
     parity_error_pending_ = false;
     pending_result_ = segment_result{};
     pending_result_.segment = job.segment;
@@ -147,18 +151,51 @@ void little_core::fail(check_error_kind kind, cycle_t now_lo) {
     park_ = park_state::idle_wait;
 }
 
-bool little_core::deliver(const fwd_packet& p) {
-    if (p.kind == packet_kind::runtime_load && p.segment == lsl_.segment() &&
-        phase_ != checker_phase::idle && parity64(p.data) != p.parity) {
-        parity_error_pending_ = true;
+void little_core::take_deliveries(cycle_t now_lo) {
+    for (; inbox_head_ < inbox_.size() && inbox_[inbox_head_].visible_from <= now_lo;
+         ++inbox_head_) {
+        if (!deliver(inbox_[inbox_head_].packet)) {
+            throw std::logic_error("little_core: the LSL refused a delivery");
+        }
     }
-    // Fresh input may satisfy whatever the checker was parked on (including a
-    // busy-wait, which a pending parity fault pre-empts at the next tick).
-    if (park_ != park_state::idle_wait) park_ = park_state::runnable;
-    return lsl_.deliver(p);
+    if (inbox_head_ == inbox_.size()) {
+        inbox_.clear();
+        inbox_head_ = 0;
+    }
+}
+
+bool little_core::run_span(cycle_t from, cycle_t to) {
+    for (cycle_t n = from; n < to;) {
+        // The earliest cycle a parked core can change state; parked cycles
+        // before it only bump counters.
+        cycle_t wake = n;
+        switch (park_) {
+            case park_state::idle_wait:
+                return has_result();
+            case park_state::busy_wait:
+                wake = std::min(park_wake_, next_delivery());
+                break;
+            case park_state::extern_wait:
+                if (!extern_wait_over()) wake = next_delivery();
+                break;
+            case park_state::runnable:
+                break;
+        }
+        if (n < wake) {
+            const cycle_t skip = std::min(wake, to) - n;
+            account_parked(skip);
+            n += skip;
+            continue;
+        }
+        tick(n++);
+    }
+    return has_result();
 }
 
 void little_core::tick(cycle_t now_lo) {
+    if (inbox_head_ != inbox_.size() && inbox_[inbox_head_].visible_from <= now_lo) {
+        take_deliveries(now_lo);
+    }
     if (phase_ == checker_phase::idle || phase_ == checker_phase::report) {
         park_ = park_state::idle_wait;
         return;
@@ -202,7 +239,11 @@ void little_core::tick(cycle_t now_lo) {
             break;
 
         case checker_phase::replay:
-            replay_step(now_lo);
+            if (replay_step(now_lo) && busy_until_ > now_lo + 1) {
+                // The next tick would only find the core busy: park now.
+                park_ = park_state::busy_wait;
+                park_wake_ = busy_until_;
+            }
             break;
 
         case checker_phase::compare:
@@ -267,10 +308,15 @@ bool little_core::replay_step(cycle_t now_lo) {
 
     // Instruction fetch through the little I$ (timing only).
     cycle_t earliest = now_lo;
-    {
+    u64 fetch_line = l1i_.line_of(state_.pc);
+    if (fetch_line != fetch_line_) {
         auto access = l1i_.access(state_.pc, false, now_lo,
                                   [&] { return now_lo + k_little_miss_penalty; });
-        if (access.accepted && !access.hit) earliest = access.complete_at;
+        if (!access.accepted) {
+            fetch_line = ~u64{0};  // not installed: look it up again
+        } else if (!access.hit) {
+            earliest = access.complete_at;
+        }
     }
 
     exec_in in;
@@ -371,6 +417,7 @@ bool little_core::replay_step(cycle_t now_lo) {
         next_issue += control_penalty(ins, this_pc, taken_cf, out.next_pc);
     }
     busy_until_ = next_issue;
+    fetch_line_ = fetch_line;
 
     ++replayed_;
     ++stats_.replayed_instructions;
@@ -382,6 +429,7 @@ little_core::app_run_result little_core::run_application(u64 max_instructions) {
     if (prog_ == nullptr) return result;
 
     cycle_t now = busy_until_;
+    fetch_line_ = ~u64{0};  // application fetches below touch the I$
     while (result.instructions < max_instructions) {
         if (!prog_->contains(state_.pc)) break;
         const instr ins = prog_->at(state_.pc);

@@ -16,7 +16,9 @@
 
 #include <functional>
 #include <optional>
+#include <vector>
 
+#include "common/bits.h"
 #include "common/config.h"
 #include "isa/arch_state.h"
 #include "isa/exec.h"
@@ -105,29 +107,17 @@ public:
     //   idle_wait   — idle/report: nothing happens until assign/collect;
     //   busy_wait   — busy-waiting on busy_until_ (wake at park_wake());
     //   extern_wait — stalled on external input: SRCP/ERCP words or LSL
-    //                 entries (deliver() unparks), or the commit watermark
+    //                 entries (any delivery unparks), or the commit watermark
     //                 (extern_wait_over() turns true once it has passed).
     enum class park_state : u8 { runnable, idle_wait, busy_wait, extern_wait };
     park_state park() const { return park_; }
     cycle_t park_wake() const { return park_wake_; }  // little cycles; busy_wait only
-
-    // Bulk accounting for `n` skipped little cycles: replicates exactly what
-    // `n` consecutive ticks would have recorded (a parked tick only bumps
-    // busy/stall counters and returns — no other state changes).
-    void account_parked(cycle_t n) {
-        if (park_ == park_state::busy_wait) {
-            stats_.busy_cycles += n;
-        } else if (park_ == park_state::extern_wait) {
-            stats_.busy_cycles += n;
-            switch (park_stall_) {
-                case park_stall::srcp: stats_.stall_srcp += n; break;
-                case park_stall::watermark: stats_.stall_watermark += n; break;
-                case park_stall::lsl: stats_.stall_lsl_empty += n; break;
-                case park_stall::none: break;
-            }
-        }
-        // idle_wait: nothing to count; runnable cores are never bulk-skipped.
+    // Little cycle at which the next handed-over packet lands (~0: none).
+    cycle_t next_delivery() const {
+        return inbox_head_ == inbox_.size() ? ~cycle_t{0} : inbox_[inbox_head_].visible_from;
     }
+    // Little cycle of the latched result (has_result() only).
+    cycle_t result_cycle() const { return pending_result_.finished_lo_cycle; }
 
     // An extern_wait on the one-behind rule ends as soon as the shared commit
     // watermark passes, with no call into the core: the SoC checks this
@@ -137,14 +127,25 @@ public:
                *watermark_ >= start_seq_ + replayed_ + 2;
     }
 
-    // Fabric delivery port. Returns false if the LSL rejected the packet.
-    // Load data is parity-checked on arrival (the paper duplicates/protects
-    // the data end-to-end: cache parity is carried through the LSQ and F2).
-    bool deliver(const fwd_packet& p);
     load_store_log& lsl() { return lsl_; }
 
-    // Advance one low-frequency-domain cycle.
+    // Fabric delivery port, the only way into the LSL: the packet lands at
+    // the start of little cycle `visible_from`, when the first tick at or
+    // after it delivers it (in hand-over order). The SoC hands over a whole
+    // span's arrivals before running it; an LSL that refuses one throws
+    // std::logic_error (fabric.h).
+    void deliver_at(const fwd_packet& p, cycle_t visible_from) {
+        inbox_.push_back({p, visible_from});
+    }
+
+    // Advance one little-core cycle.
     void tick(cycle_t now_lo);
+
+    // Runs little cycles [from, to) in one call: ticks every cycle the core
+    // can work in and accounts parked spans in bulk, waking at the next
+    // hand-over. Returns as soon as the core parks idle (e.g. it reported),
+    // and true when it then holds a result.
+    bool run_span(cycle_t from, cycle_t to);
 
     // --- Application mode (standalone execution, OS threads, l.* demos) ---
     // Runs `max_instructions` starting from the core's current architectural
@@ -172,9 +173,39 @@ private:
         cycle_t complete = 0;
     };
 
+    // Bulk accounting for `n` parked little cycles (run_span): replicates
+    // exactly what `n` consecutive ticks would have recorded (a parked tick
+    // only bumps busy/stall counters and returns — no other state changes).
+    void account_parked(cycle_t n) {
+        if (park_ == park_state::busy_wait) {
+            stats_.busy_cycles += n;
+        } else if (park_ == park_state::extern_wait) {
+            stats_.busy_cycles += n;
+            switch (park_stall_) {
+                case park_stall::srcp: stats_.stall_srcp += n; break;
+                case park_stall::watermark: stats_.stall_watermark += n; break;
+                case park_stall::lsl: stats_.stall_lsl_empty += n; break;
+                case park_stall::none: break;
+            }
+        }
+        // idle_wait: nothing to count; runnable cores are never bulk-skipped.
+    }
+
     // Executes one replay instruction if its inputs (LSL entries, watermark)
     // allow; returns false when stalled this cycle.
     bool replay_step(cycle_t now_lo);
+    // Moves every handed-over packet visible by `now_lo` into the LSL.
+    void take_deliveries(cycle_t now_lo);
+    // One packet into the LSL; false if the LSL refused it. Load data is
+    // parity-checked on arrival (the paper duplicates/protects the data
+    // end-to-end: cache parity is carried through the LSQ and F2).
+    bool deliver(const fwd_packet& p) {
+        if (p.kind == packet_kind::runtime_load && p.segment == lsl_.segment() &&
+            phase_ != checker_phase::idle && parity64(p.data) != p.parity) {
+            parity_error_pending_ = true;
+        }
+        return lsl_.deliver(p);
+    }
     instr_timing time_instruction(const instr& ins, cycle_t earliest,
                                   cycle_t extra_latency);
     u32 op_latency(op_class c) const;
@@ -199,6 +230,19 @@ private:
     u64 start_seq_ = 0;
     u64 replayed_ = 0;
     little_core_stats stats_;
+
+    struct handed_over {
+        fwd_packet packet;
+        cycle_t visible_from = 0;
+    };
+    // Hand-overs not yet delivered; consumed from inbox_head_ and reset to
+    // empty once drained, so it never grows past one span's arrivals.
+    std::vector<handed_over> inbox_;
+    std::size_t inbox_head_ = 0;
+    // L1I line of the last completed replay step: the step after it on the
+    // same line would hit (nothing else touched the I$ in between, and a
+    // miss's fill has landed by the next issue), so it skips the lookup.
+    u64 fetch_line_ = ~u64{0};
 
     little_core_config cfg_;
     u32 core_id_;

@@ -31,7 +31,10 @@ public:
     u32 segment() const { return segment_; }
 
     // Accepts a fabric delivery addressed to this core. Returns false when a
-    // run-time entry cannot be buffered (log full) — the fabric retries.
+    // run-time entry cannot be buffered (log full), which breaks the fabric's
+    // never-reject contract (fabric.h) and ends the run with
+    // std::logic_error; the DEU's "LSL full" trigger keeps the run-time FIFO
+    // from overflowing.
     // Packets for a segment other than the reserved one are dropped: "once
     // LSL is reserved, only data relevant to the associated checker thread is
     // forwarded" (Sec. IV-B) — stale stragglers from a segment whose check

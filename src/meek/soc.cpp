@@ -1,6 +1,7 @@
 #include "meek/soc.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdlib>
 #include <stdexcept>
 #include <string_view>
@@ -36,12 +37,6 @@ meek_soc::meek_soc(const soc_config& cfg)
     }
     fabric_ = std::make_unique<fabric_model>(cfg.fabric, cfg.big.commit_width,
                                              cfg.num_little_cores);
-    // Raw context + function-pointer sink: the per-packet delivery path
-    // compiles down to one indirect call straight into little_core::deliver.
-    fabric_->set_deliver_ref({this, [](void* ctx, u32 core, const fwd_packet& p) {
-                                  auto* soc = static_cast<meek_soc*>(ctx);
-                                  return soc->littles_[core]->deliver(p);
-                              }});
     if (const char* mode = std::getenv("MEEK_LOW_ADVANCE")) {
         if (std::string_view(mode) == "exhaustive") event_driven_ = false;
     }
@@ -78,58 +73,31 @@ void meek_soc::assign_segment(u32 core, u32 segment, u64 start_seq) {
     ++stats_.segments_started;
 }
 
+void meek_soc::hand_over(cycle_t now_lo) {
+    fabric_->deliver_due(now_lo, [this](u32 core, const fwd_packet& p, cycle_t at) {
+        // Every arrival waits in the checker's inbox until its first tick at
+        // or after the little cycle the packet lands in. An idle checker is
+        // idle through the whole span (assignments happen between spans) and
+        // its reserve clears the LSL, so it drops the packet as its
+        // stale-segment filter would.
+        little_core& lc = *littles_[core];
+        if (!lc.idle()) lc.deliver_at(p, at * little_freq_mhz_ / cfg_.fabric.freq_mhz);
+    });
+}
+
 void meek_soc::tick_low_once() {
-    const cycle_t lo = low_ticks_done_;
-    fabric_->tick_low(lo);
+    hand_over(low_ticks_done_);
     // Little cores run at their achievable clock: e.g. 5 core cycles per 4
-    // low-domain cycles at 2 GHz.
-    const cycle_t target = little_ticks_next_;
-    // Only a ticked core can latch a result, so collection runs only after
-    // one reports.
+    // low-domain cycles at 2 GHz. Every core ticks every little cycle.
     bool reported = false;
-    while (little_ticks_done_ < target) {
-        const cycle_t now = little_ticks_done_;
-        const auto tick = [&reported, now](little_core& lc) {
-            lc.tick(now);
-            reported |= lc.has_result();
-        };
-        if (!event_driven_) {
-            // Exhaustive reference mode: every core ticks every little cycle.
-            for (auto& lc : littles_) tick(*lc);
-        } else {
-            // Per-core fast path: a parked core's tick is a pure counter
-            // bump (or a no-op when idle), and its park condition cannot
-            // change mid-cycle — deliveries (which unpark to runnable) and
-            // watermark advances (extern_wait_over) all land before this
-            // loop. account_parked(1) replicates the tick exactly without
-            // re-deriving the stall.
-            for (auto& lc : littles_) {
-                switch (lc->park()) {
-                    case little_core::park_state::idle_wait:
-                        break;
-                    case little_core::park_state::busy_wait:
-                        if (now < lc->park_wake()) {
-                            lc->account_parked(1);
-                        } else {
-                            tick(*lc);
-                        }
-                        break;
-                    case little_core::park_state::extern_wait:
-                        if (lc->extern_wait_over()) {
-                            tick(*lc);
-                        } else {
-                            lc->account_parked(1);
-                        }
-                        break;
-                    case little_core::park_state::runnable:
-                        tick(*lc);
-                        break;
-                }
-            }
+    for (cycle_t n = little_ticks_done_; n < little_ticks_next_; ++n) {
+        for (auto& lc : littles_) {
+            lc->tick(n);
+            reported |= lc->has_result();
         }
-        ++little_ticks_done_;
     }
     ++low_ticks_done_;
+    little_ticks_done_ = little_ticks_next_;
     // little_ticks_next_ = T(low_ticks_done_ + 1), one step on from T(lo + 1).
     for (little_phase_ += little_freq_mhz_; little_phase_ >= cfg_.fabric.freq_mhz;
          little_phase_ -= cfg_.fabric.freq_mhz) {
@@ -146,70 +114,60 @@ void meek_soc::set_low_ticks(cycle_t lo) {
     little_phase_ = (lo + 1) * little_freq_mhz_ % ff;
 }
 
-void meek_soc::advance_low_to(cycle_t big_cycle) {
-    const cycle_t target = (big_cycle + 1) / 2;  // == ceil(big_cycle / 2)
-    while (low_ticks_done_ < target) {
-        if (event_driven_) {
-            const cycle_t wake = next_activity_lo();
-            if (wake > low_ticks_done_) {
-                skip_span(std::min(wake, target));
-                continue;
-            }
-        }
-        tick_low_once();
+cycle_t meek_soc::low_cycle_of(cycle_t little) const {
+    // Smallest n with T(n + 1) > little, where T(n) = n * little_freq /
+    // fabric_freq (floor).
+    return ((little + 1) * cfg_.fabric.freq_mhz + little_freq_mhz_ - 1) / little_freq_mhz_ -
+           1;
+}
+
+void meek_soc::run_low_until(cycle_t target) {
+    if (!event_driven_) {
+        while (low_ticks_done_ < target) tick_low_once();
+        return;
     }
+    // Reservations change only between spans, so every arrival inside the
+    // span can be handed over up front; each checker then runs the span in
+    // one call.
+    hand_over(target - 1);
+    const cycle_t from = little_ticks_done_;
+    set_low_ticks(target);
+    bool reported = false;
+    for (auto& lc : littles_) {
+        // An idle-parked core holds no result: its report was collected.
+        if (lc->park() != little_core::park_state::idle_wait) {
+            reported |= lc->run_span(from, little_ticks_done_);
+        }
+    }
+    if (reported) collect_results();
 }
 
 cycle_t meek_soc::next_activity_lo() const {
     const cycle_t lo = low_ticks_done_;
-    // First pass: is anything due in this very low cycle? A busy-waiting
-    // core is due once this cycle's little-tick batch reaches its wake
-    // point W, i.e. T(lo + 1) > W.
-    bool busy_waits = false;
+    // The fabric's next slot release or landing, k_no_event == k_never when
+    // it is empty.
+    cycle_t wake = fabric_->next_event_lo();
+    if (wake <= lo) return lo;
     for (const auto& lc : littles_) {
+        cycle_t w = k_never;  // little cycle at which the core can next change
         switch (lc->park()) {
             case little_core::park_state::runnable:
                 return lo;
             case little_core::park_state::busy_wait:
-                if (lc->park_wake() < little_ticks_next_) return lo;
-                busy_waits = true;
+                w = std::min(lc->park_wake(), lc->next_delivery());
                 break;
             case little_core::park_state::extern_wait:
                 if (lc->extern_wait_over()) return lo;
-                break;  // otherwise only a delivery can wake it
+                w = lc->next_delivery();  // otherwise only a delivery wakes it
+                break;
             case little_core::park_state::idle_wait:
-                break;  // only an assignment can wake it
+                continue;  // only an assignment can wake it
         }
-    }
-    // A due-but-blocked delivery (f <= lo) must keep retrying every low
-    // cycle so delivery_retries stays exact: no skipping.
-    const cycle_t f = fabric_->next_event_lo();
-    if (f <= lo) return lo;
-    cycle_t wake = f;  // k_no_event == k_never when the fabric is empty
-    if (busy_waits) {
-        for (const auto& lc : littles_) {
-            if (lc->park() != little_core::park_state::busy_wait) continue;
-            // First low cycle whose little-tick batch reaches W: smallest
-            // n with T(n + 1) > W, where T(n) = n * little_freq /
-            // fabric_freq (floor).
-            const cycle_t w = lc->park_wake();
-            wake = std::min(wake, ((w + 1) * cfg_.fabric.freq_mhz + little_freq_mhz_ - 1) /
-                                          little_freq_mhz_ -
-                                      1);
-        }
+        // Due in this very low cycle once its little-tick batch reaches w.
+        if (w < little_ticks_next_) return lo;
+        if (w != k_never) wake = std::min(wake, low_cycle_of(w));
     }
     return wake;
-}
-
-void meek_soc::skip_span(cycle_t to_lo) {
-    // Precondition: no activity in [low_ticks_done_, to_lo) — every little
-    // core is parked (with busy wakes beyond the span) and no fabric event is
-    // due, so the skipped ticks are pure counter increments.
-    const cycle_t from = little_ticks_done_;
-    set_low_ticks(to_lo);
-    if (const cycle_t n = little_ticks_done_ - from; n > 0) {
-        for (auto& lc : littles_) lc->account_parked(n);
-    }
 }
 
 void meek_soc::step_low_for_wait(cycle_t& guard, const char* what) {
@@ -231,17 +189,26 @@ void meek_soc::step_low_for_wait(cycle_t& guard, const char* what) {
         }
         throw soc_stall_error(msg);
     }
-    if (event_driven_ && wake > low_ticks_done_) skip_span(wake);
-    tick_low_once();
+    // Nothing happens before `wake`: the event-driven span runs through it.
+    run_low_until((event_driven_ ? wake : low_ticks_done_) + 1);
     if (++guard > k_drain_tick_bound) {
         throw soc_stall_error(std::string(what) + ": stall budget exhausted");
     }
 }
 
 void meek_soc::collect_results() {
-    for (auto& lc : littles_) {
-        if (!lc->has_result()) continue;
-        const segment_result r = lc->collect_result();
+    // Reports are collected at the end of their low cycle, cores in index
+    // order; a span can hold several, from different low cycles.
+    std::array<std::pair<cycle_t, u32>, k_max_little_cores> order;
+    std::size_t n = 0;
+    for (u32 i = 0; i < littles_.size(); ++i) {
+        if (littles_[i]->has_result()) {
+            order[n++] = {low_cycle_of(littles_[i]->result_cycle()), i};
+        }
+    }
+    std::sort(order.begin(), order.begin() + n);
+    for (std::size_t k = 0; k < n; ++k) {
+        const segment_result r = littles_[order[k].second]->collect_result();
         ++stats_.segments_verified;
         if (!r.passed) {
             ++stats_.segments_failed;
@@ -257,12 +224,20 @@ void meek_soc::collect_results() {
     }
 }
 
-cycle_t meek_soc::push_blocking(fwd_packet p, u32 path, cycle_t now_big,
+cycle_t meek_soc::push_blocking(const fwd_packet& p, u32 path, cycle_t now_big,
                                 cycle_t& stall_bucket) {
     advance_low_to(now_big);
     cycle_t guard = 0;
     while (!fabric_->can_accept(p.kind, path)) {
-        step_low_for_wait(guard, "fabric push");
+        // Only a transmission frees a DC-Buffer slot, and each one is a
+        // fabric event: run straight through the next. With nothing staged
+        // the buffer has no capacity at all, which can only end in quiescence.
+        const cycle_t f = fabric_->next_event_lo();
+        if (f == fabric_model::k_no_event) {
+            step_low_for_wait(guard, "fabric push");
+        } else {
+            run_low_until(std::max(f, low_ticks_done_) + 1);
+        }
         const cycle_t nb = low_ticks_done_ * 2;
         if (nb > now_big) {
             stall_bucket += nb - now_big;

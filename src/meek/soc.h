@@ -12,6 +12,22 @@
 //     enough);
 //   * checker    — an RCP is due but no little core / LSL is free, or the
 //     reserved LSL is full mid-segment.
+//
+// Forwarding: the fabric books each packet's transmission slots and
+// arrivals when it is pushed (fabric.h). That is exact because an LSL never
+// refuses a delivery: the DEU ends a segment once its run-time entries fill
+// the target LSL, and packets of any other segment are dropped.
+//
+// Low-domain advance: advance_low_to() simulates the low cycles up to the
+// big-core cycle in one span. Reservations (assign_segment) happen only
+// between spans, so the SoC hands every busy checker, up front, each delivery
+// arriving before the span ends, stamped with the little cycle it becomes
+// visible in; little_core::run_span then runs each checker through the span
+// in one call, ticking only the cycles it can work in and accounting parked
+// cycles in bulk. Reports are collected in (low cycle, core) order, as a
+// cycle-by-cycle advance collects them. The exhaustive reference mode ticks
+// every checker every little cycle instead and delivers each packet at its
+// arrival; both modes give bit-identical results.
 #pragma once
 
 #include <functional>
@@ -116,11 +132,11 @@ public:
         }
     }
 
-    // Low-domain advance strategy. Event-driven (default) jumps over spans
-    // where every checker is parked and the fabric has nothing due, with
-    // bulk-accounted stall counters; exhaustive ticks every low cycle and is
-    // the reference mode (env MEEK_LOW_ADVANCE=exhaustive selects it
-    // globally). Both produce bit-identical results.
+    // Low-domain advance strategy. Event-driven (default) runs each checker
+    // through a whole span per call, with bulk-accounted parked cycles;
+    // exhaustive ticks every checker every cycle and is the reference mode
+    // (env MEEK_LOW_ADVANCE=exhaustive selects it globally). Both produce
+    // bit-identical results.
     void set_event_driven_low_advance(bool on) { event_driven_ = on; }
     bool event_driven_low_advance() const { return event_driven_; }
 
@@ -148,26 +164,34 @@ private:
 
     // Advance the low-frequency domain until `big_cycle`; collects checker
     // results as they appear.
-    void advance_low_to(cycle_t big_cycle);
+    void advance_low_to(cycle_t big_cycle) {
+        const cycle_t target = (big_cycle + 1) / 2;  // == ceil(big_cycle / 2)
+        if (target > low_ticks_done_) run_low_until(target);
+    }
+    // Simulates low cycles [low_ticks_done_, target_lo), target_lo >
+    // low_ticks_done_: one span per call in event mode, cycle by cycle
+    // (tick_low_once) in exhaustive mode.
+    void run_low_until(cycle_t target_lo);
     void tick_low_once();
+    // Hands the fabric's deliveries due by `now_lo` to the checkers.
+    void hand_over(cycle_t now_lo);
     void collect_results();
 
-    // Event-driven advance helpers. next_activity_lo() returns the earliest
-    // low cycle >= low_ticks_done_ at which any state can change (k_never
-    // when the SoC is quiescent and only external input could wake it);
-    // skip_span() jumps to `to_lo` bulk-accounting the parked little cores;
-    // step_low_for_wait() performs one event step inside a wait loop and
-    // throws soc_stall_error on quiescence or an exhausted stall budget.
+    // Wait-loop helpers. next_activity_lo() returns the earliest low cycle
+    // >= low_ticks_done_ at which any state can change (k_never when the SoC
+    // is quiescent and only external input could wake it);
+    // step_low_for_wait() runs through that cycle and throws soc_stall_error
+    // on quiescence or an exhausted stall budget.
     static constexpr cycle_t k_never = ~cycle_t{0};
     cycle_t next_activity_lo() const;
-    void skip_span(cycle_t to_lo);
-    void set_low_ticks(cycle_t lo);  // jumps the low and little clocks to `lo`
     void step_low_for_wait(cycle_t& guard, const char* what);
+    void set_low_ticks(cycle_t lo);  // jumps the low and little clocks to `lo`
+    cycle_t low_cycle_of(cycle_t little) const;  // low cycle whose batch holds it
 
     // Push helpers that spin the low domain until the fabric accepts,
     // charging the wait to `stall_bucket`. Returns the (possibly later)
     // big-cycle at which the push succeeded.
-    cycle_t push_blocking(fwd_packet p, u32 path, cycle_t now_big,
+    cycle_t push_blocking(const fwd_packet& p, u32 path, cycle_t now_big,
                           cycle_t& stall_bucket);
 
     // Emit the snapshot word stream for boundary `b` to `dest`. `seq` tags

@@ -1,5 +1,5 @@
 // Branch-predictor tests: TAGE pattern learning (parameterized over pattern
-// periods), BTB and RAS behaviour.
+// periods), incremental history folds, BTB and RAS behaviour.
 #include <gtest/gtest.h>
 
 #include "bpred/tage.h"
@@ -120,6 +120,36 @@ TEST(tage, stats_track_lookups_and_mispredicts) {
     }
     EXPECT_EQ(tage.stats().lookups, 10u);
     EXPECT_LE(tage.stats().mispredicts, 10u);
+}
+
+// The XOR-fold of the newest `length` bits of `history` into `width` bits,
+// recomputed from scratch.
+u64 recomputed_fold(u64 history, u32 length, u32 width) {
+    u64 fold = 0;
+    for (u32 i = 0; i < length; ++i) fold ^= ((history >> i) & 1) << (i % width);
+    return fold;
+}
+
+TEST(tage, incremental_folds_match_recomputed_folds) {
+    // The default tables' history lengths (2..64, geometric) folded to the
+    // index width (log2 of 1024 entries) and the tag width, plus widths
+    // wider than the shortest histories, over a random branch stream.
+    const branch_predictor_config cfg = default_bp();
+    ASSERT_EQ(cfg.tage_tables, 6u);
+    for (const u32 width : {10u, cfg.tage_tag_bits, 3u, 7u}) {
+        for (const u32 length : {2u, 4u, 8u, 16u, 32u, 64u}) {
+            folded_history fold(length, width);
+            u64 history = 0;
+            rng r(length * 131 + width);
+            for (int step = 0; step < 500; ++step) {
+                const bool taken = r.chance(0.5);
+                fold.shift(taken, (history >> (length - 1)) & 1);
+                history = (history << 1) | (taken ? 1 : 0);
+                ASSERT_EQ(fold.value(), recomputed_fold(history, length, width))
+                    << "length " << length << " width " << width << " step " << step;
+            }
+        }
+    }
 }
 
 TEST(btb_unit, miss_then_hit) {

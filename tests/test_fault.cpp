@@ -1,10 +1,18 @@
 // Fault-campaign tests: detection guarantees per target class
 // (parameterized), latency sanity, masking bounds, report integrity, shard
-// instruction budgets, early run end, and golden records.
+// instruction budgets, early run end, and golden records (one set pinned in
+// both low-advance modes across a checker re-reservation).
 #include <gtest/gtest.h>
+
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <string>
 
 #include "fault/campaign.h"
 #include "sim/executor.h"
+#include "sim/scenario.h"
 #include "workloads/generator.h"
 
 namespace meek {
@@ -245,6 +253,44 @@ TEST(campaign_golden, sharded_campaign_with_a_horizon_masked_last_fault) {
               "26329 52620 52779 1 7 3\n"
               "32880 61253 61387 1 7 3\n"
               "39442 69396 0 0 0 3\n");
+}
+
+TEST(campaign_golden, reservation_boundary_records_match_in_both_low_advance_modes) {
+    // perfbench campaign's seed-2 blackscholes call: 200 core-side faults, 50
+    // per shard, on the program generated at seed 2 with twice the shard
+    // budget. In shard 1, segment 282 fails on core 1 and the pending
+    // boundary-283 SRCP is re-sent to core 1 while its ERCP copy is still in
+    // flight: the stale copy lands after the re-reservation and counts toward
+    // the new SRCP. Both low-advance modes must keep every record.
+    fault_campaign_config fc;
+    fc.num_faults = 200;
+    fc.faults_per_shard = 50;
+    fc.core_side_fault = true;
+    fc.seed = sim::derive_stream_seed(2, 0);
+    const u64 budget = fc.shard_warmup_instructions +
+                       u64{fc.faults_per_shard} * (fc.gap_instructions + 2'000) +
+                       fc.detection_horizon + 50'000;
+    const generated_workload wl =
+        generate_workload(*find_profile("blackscholes"), budget * 2, 2);
+    std::ifstream in(std::filesystem::path(MEEK_DATA_DIR) /
+                     "fault_reservation_boundary_expected.txt");
+    ASSERT_TRUE(in) << "missing fault_reservation_boundary_expected.txt";
+    const std::string expected{std::istreambuf_iterator<char>(in), {}};
+
+    const char* inherited = std::getenv("MEEK_LOW_ADVANCE");
+    const std::string saved = inherited ? inherited : "";
+    sim::executor ex(2);
+    for (const char* mode : {"event", "exhaustive"}) {
+        ::setenv("MEEK_LOW_ADVANCE", mode, 1);
+        const campaign_result r =
+            run_fault_campaign(sim::meek_scenario(4).soc(), wl.prog, fc, ex);
+        EXPECT_EQ(describe_records(r), expected) << mode;
+    }
+    if (inherited) {
+        ::setenv("MEEK_LOW_ADVANCE", saved.c_str(), 1);
+    } else {
+        ::unsetenv("MEEK_LOW_ADVANCE");
+    }
 }
 
 TEST(campaign_golden, program_ending_before_the_last_injection) {

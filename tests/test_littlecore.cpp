@@ -39,24 +39,24 @@ struct checker_fixture {
             p.segment = 0;
             p.word_index = static_cast<u16>(w);
             p.data = snapshot_word(start, w);
-            core->deliver(p);
+            core->deliver_at(p, now);
         }
         for (fwd_packet& p : runtime) {
             p.segment = 0;
-            core->deliver(p);
+            core->deliver_at(p, now);
         }
         fwd_packet end_marker;
         end_marker.kind = packet_kind::segment_end;
         end_marker.segment = 0;
         end_marker.data = count;
-        core->deliver(end_marker);
+        core->deliver_at(end_marker, now);
         for (u32 w = 0; w < k_snapshot_words; ++w) {
             fwd_packet p;
             p.kind = packet_kind::status_word;
             p.segment = 1;  // boundary after the segment = ERCP
             p.word_index = static_cast<u16>(w);
             p.data = snapshot_word(end, w);
-            core->deliver(p);
+            core->deliver_at(p, now);
         }
         for (int guard = 0; guard < 200'000 && !core->has_result(); ++guard) {
             core->tick(now++);
@@ -184,7 +184,7 @@ TEST(littlecore_checker, missing_log_entry_stalls_not_fails) {
         p.segment = 0;
         p.word_index = static_cast<u16>(w);
         p.data = snapshot_word(start, w);
-        f.core->deliver(p);
+        f.core->deliver_at(p, f.now);
     }
     // No runtime data delivered: the checker must busy-wait, not fail.
     for (int i = 0; i < 2000; ++i) f.core->tick(f.now++);
@@ -205,11 +205,11 @@ TEST(littlecore_checker, one_behind_rule_blocks_at_watermark) {
         p.segment = 0;
         p.word_index = static_cast<u16>(w);
         p.data = snapshot_word(start, w);
-        f.core->deliver(p);
+        f.core->deliver_at(p, f.now);
     }
     fwd_packet ld = load_packet(0x1000000, 21);
     ld.segment = 0;
-    f.core->deliver(ld);
+    f.core->deliver_at(ld, f.now);
     for (int i = 0; i < 2000; ++i) f.core->tick(f.now++);
     EXPECT_FALSE(f.core->has_result());
     EXPECT_GT(f.core->stats().stall_watermark, 0u);
@@ -230,7 +230,8 @@ TEST(littlecore_checker, stale_segment_packets_are_dropped) {
     f.core->assign_segment({.segment = 5, .start_seq = 0});
     fwd_packet stale = load_packet(0x1000000, 1);
     stale.segment = 4;  // belongs to an older segment
-    EXPECT_TRUE(f.core->deliver(stale));  // accepted (dropped), no backpressure
+    f.core->deliver_at(stale, f.now);
+    EXPECT_NO_THROW(f.core->tick(f.now++));  // accepted (dropped), no backpressure
     EXPECT_TRUE(f.core->lsl().runtime_empty());
 }
 

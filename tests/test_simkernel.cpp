@@ -1,12 +1,16 @@
 // Simulation-kernel hot-path guarantees:
-//   * the event-driven low-domain advance (idle-span skipping + per-core
-//     park fast path) is bit-identical to the exhaustive reference mode that
-//     ticks every little core on every low cycle — compared field-for-field
-//     over the whole meek_run_result, per-core stats included;
+//   * the event-driven low-domain advance (each checker runs a whole span in
+//     one call, parked cycles accounted in bulk) is bit-identical to the
+//     exhaustive reference mode that ticks every little core on every low
+//     cycle — compared field-for-field over the whole meek_run_result,
+//     per-core stats included, under fault injection, shallow DC-Buffers on
+//     F2 and AXI, and small LSLs;
 //   * a configuration that can provably make no progress (zero-capacity
 //     fabric) surfaces as an explicit run_result error instead of the former
 //     livelock, in both advance modes.
 #include <gtest/gtest.h>
+
+#include <functional>
 
 #include "isa/assembler.h"
 #include "meek/soc.h"
@@ -157,6 +161,76 @@ TEST(sim_kernel, event_driven_matches_exhaustive_under_fault_injection) {
         EXPECT_EQ(d_ev[i].segment, d_ex[i].segment);
         EXPECT_EQ(d_ev[i].detect_big_cycle, d_ex[i].detect_big_cycle);
     }
+}
+
+// Runs `p` once per low-advance mode, each SoC with a fresh hook from
+// `make_hook` (null: no hook), and expects the two runs to agree field for
+// field: result, detections and per-core stats.
+void expect_modes_agree(const soc_config& cfg, const program& p,
+                        const std::function<meek_soc::packet_hook()>& make_hook = {}) {
+    meek_soc ev(cfg);
+    ev.set_event_driven_low_advance(true);
+    meek_soc ex(cfg);
+    ex.set_event_driven_low_advance(false);
+    for (meek_soc* soc : {&ev, &ex}) {
+        soc->load_program(p);
+        if (make_hook) soc->set_packet_hook(make_hook());
+    }
+    const meek_run_result r_ev = ev.run();
+    const meek_run_result r_ex = ex.run();
+    ASSERT_TRUE(r_ev.error.empty()) << r_ev.error;
+    expect_identical_results(r_ev, r_ex);
+    expect_identical_little_stats(ev, ex, cfg.num_little_cores);
+    ASSERT_EQ(ev.detections().size(), ex.detections().size());
+    for (std::size_t i = 0; i < ev.detections().size(); ++i) {
+        EXPECT_EQ(ev.detections()[i].kind, ex.detections()[i].kind) << i;
+        EXPECT_EQ(ev.detections()[i].segment, ex.detections()[i].segment) << i;
+        EXPECT_EQ(ev.detections()[i].detect_big_cycle, ex.detections()[i].detect_big_cycle) << i;
+    }
+}
+
+TEST(sim_kernel, event_driven_matches_exhaustive_under_f2_transit_parity_faults) {
+    // F2-transit faults flip forwarded load data without recomputing its
+    // parity, so each one lands as a parity fault on whichever checker holds
+    // the segment, mid-span or mid-busy-wait.
+    const auto wl = generate_workload(*find_profile("dedup"), 40'000, 7);
+    soc_config cfg;
+    cfg.num_little_cores = 4;
+    u64 faults = 0;
+    expect_modes_agree(cfg, wl.prog, [&faults] {
+        return [&faults, loads = u64{0}](fwd_packet& pkt) mutable {
+            if (pkt.kind != packet_kind::runtime_load || ++loads % 97 != 0) return;
+            pkt.data ^= u64{1} << (loads % 64);
+            pkt.fault_injected = true;
+            ++faults;
+        };
+    });
+    EXPECT_GT(faults, 20u);
+}
+
+TEST(sim_kernel, event_driven_matches_exhaustive_at_dc_buffer_depth_4_on_f2_and_axi) {
+    // Shallow DC-Buffers make every status burst wait for slots, so the push
+    // wait runs from fabric event to fabric event; AXI adds per-destination
+    // transactions and re-arbitration bubbles.
+    const auto wl = generate_workload(*find_profile("hmmer"), 30'000, 0xC0FFEE);
+    for (const fabric_kind kind : {fabric_kind::f2, fabric_kind::axi_interconnect}) {
+        SCOPED_TRACE(static_cast<int>(kind));
+        soc_config cfg;
+        cfg.num_little_cores = 4;
+        cfg.fabric.kind = kind;
+        cfg.fabric.dc_buffer_depth = 4;
+        expect_modes_agree(cfg, wl.prog);
+    }
+}
+
+TEST(sim_kernel, event_driven_matches_exhaustive_at_the_smallest_searched_lsl) {
+    // 2 KiB LSLs (the search grid's smallest) end segments on "LSL full"
+    // most often, so checkers turn over and re-reserve fastest.
+    const auto wl = generate_workload(*find_profile("mcf"), 30'000, 11);
+    soc_config cfg;
+    cfg.num_little_cores = 4;
+    cfg.little.lsl_bytes = 2048;
+    expect_modes_agree(cfg, wl.prog);
 }
 
 TEST(sim_kernel, single_core_rcp_deadlock_reports_error_instead_of_livelock) {
