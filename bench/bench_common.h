@@ -63,27 +63,19 @@ inline void check_shape(const char* what, bool holds) {
 }
 
 // One-line scheduler summary on stderr (stdout stays diffable): per-job
-// wall-time skew plus the work-stealing counters, so a campaign can tell a
-// placement problem (max >> mean, zero steals) from a genuinely serial tail.
-// steal_success (hits per probe) says whether theft was cheap. p50/p99 come
-// from the executor's run-time histogram — the same samples min/mean/max
-// summarize, but the percentile pair distinguishes a uniformly-slow batch
-// from a long tail.
+// wall-time skew, so a campaign can tell one long job (max >> mean) from a
+// batch that is uniformly slow. p50/p99 come from the executor's run-time
+// histogram — the same samples min/mean/max summarize, but the percentile
+// pair distinguishes a uniformly-slow batch from a long tail.
 inline void print_scheduler_summary(const sim::executor& ex) {
     const sim::executor_timing t = ex.timing();
-    const sched::pool_stats s = ex.scheduler_stats();
     const obs::log_histogram h = ex.run_time_histogram();
     std::fprintf(stderr,
-                 "# sched: threads=%u jobs=%zu steals=%llu "
-                 "steal_attempts=%llu steal_success=%.1f%% "
+                 "# sched: threads=%u jobs=%zu "
                  "job_ms min=%.2f mean=%.2f max=%.2f total=%.2f "
                  "p50=%.2f p99=%.2f\n",
-                 ex.num_threads(), t.jobs,
-                 static_cast<unsigned long long>(s.steals()),
-                 static_cast<unsigned long long>(s.steal_attempts()),
-                 100.0 * s.steal_success_rate(), t.min_ms,
-                 t.mean_ms, t.max_ms, t.total_ms,
-                 static_cast<double>(h.p50()) / 1e6,
+                 ex.num_threads(), t.jobs, t.min_ms, t.mean_ms, t.max_ms,
+                 t.total_ms, static_cast<double>(h.p50()) / 1e6,
                  static_cast<double>(h.p99()) / 1e6);
 }
 

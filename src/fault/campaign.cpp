@@ -137,14 +137,6 @@ campaign_result run_fault_campaign(const soc_config& soc_cfg, const program& pro
         return run_campaign_once(soc_cfg, prog, shard_cfg);
     }
 
-    // Hint shard costs by fault count: every shard but the last carries
-    // `per_shard` faults, so the short tail shard is submitted last.
-    std::vector<double> shard_costs;
-    shard_costs.reserve(shards);
-    for (std::size_t i = 0; i < shards; ++i) {
-        const u32 first = static_cast<u32>(i) * per_shard;
-        shard_costs.push_back(std::min(per_shard, cfg.num_faults - first));
-    }
     std::vector<campaign_result> partials = ex.run_indexed(
         shards, cfg.seed,
         [&](const sim::job_context& ctx) {
@@ -153,8 +145,7 @@ campaign_result run_fault_campaign(const soc_config& soc_cfg, const program& pro
             const u32 first = static_cast<u32>(ctx.index) * per_shard;
             shard_cfg.num_faults = std::min(per_shard, cfg.num_faults - first);
             return run_campaign_once(soc_cfg, prog, shard_cfg);
-        },
-        shard_costs);
+        });
 
     campaign_result merged;
     for (campaign_result& p : partials) {

@@ -131,8 +131,7 @@ std::vector<point_result> evaluate_rung(const std::vector<design_point>& points,
         [outcomes](const sim::run_spec& spec, const sim::job_context&) {
             return outcomes != nullptr ? outcomes->outcome_for(spec)
                                        : sim::execute(spec);
-        },
-        [](const sim::run_spec& spec) { return sim::cost_hint(spec); });
+        });
     const u64 baseline_cycles = outs[0].cycles;
 
     const area_model areas;

@@ -446,7 +446,7 @@ obs::metrics_snapshot service::stats_snapshot() const {
     pool_.contribute_metrics(snap);
     // Derived simulation throughput: simulated instructions per host second
     // of job run time (the sim_throughput bench's MIPS, as a service gauge).
-    // Wall-time-derived, so — like steal counts — not part of the
+    // Wall-time-derived, so — like the pool's busy time — not part of the
     // deterministic counter set.
     if (const u64* instr = snap.counter_value("sim.instructions")) {
         if (const obs::log_histogram* run = snap.histogram("pool.run_ns");

@@ -76,40 +76,9 @@ void executor::contribute_metrics(obs::metrics_snapshot& snap,
     snap.add_histogram(p + ".queue_wait_ns", queue_wait_ns_.snapshot());
     snap.add_histogram(p + ".run_ns", run_ns_.snapshot());
     const sched::pool_stats s = pool_.stats();
-    snap.set_counter(p + ".executed", s.executed());
-    snap.set_counter(p + ".steals", s.steals());
-    snap.set_counter(p + ".steal_attempts", s.steal_attempts());
+    snap.set_counter(p + ".executed", s.executed);
     snap.set_gauge(p + ".threads", pool_.size());
-    snap.set_gauge(p + ".busy_us", static_cast<u64>(s.busy_ms() * 1000.0));
-}
-
-executor::batch_plan executor::plan_batch(std::size_t count,
-                                          std::span<const double> cost_hints) const {
-    batch_plan plan;
-    plan.push_order.resize(count);
-    std::iota(plan.push_order.begin(), plan.push_order.end(), std::size_t{0});
-
-    if (cost_hints.size() != count) {
-        // No (usable) hints: deal the batch round-robin; stealing alone
-        // levels whatever skew the bodies turn out to have.
-        plan.homes.resize(count);
-        for (std::size_t i = 0; i < count; ++i) plan.homes[i] = i % pool_.size();
-        return plan;
-    }
-
-    plan.homes = sched::balanced_assignment(cost_hints, pool_.size());
-    // Push each worker's share cheapest-first: the owner pops LIFO, so it
-    // starts on its own longest job (no straggler finishing last), while a
-    // thief's FIFO steal takes the cheapest task the owner is furthest from —
-    // the least disruptive thing to migrate.
-    std::stable_sort(plan.push_order.begin(), plan.push_order.end(),
-                     [&plan, cost_hints](std::size_t a, std::size_t b) {
-                         if (plan.homes[a] != plan.homes[b]) {
-                             return plan.homes[a] < plan.homes[b];
-                         }
-                         return cost_hints[a] < cost_hints[b];
-                     });
-    return plan;
+    snap.set_gauge(p + ".busy_us", static_cast<u64>(s.busy_ms * 1000.0));
 }
 
 }  // namespace meek::sim

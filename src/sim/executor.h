@@ -1,6 +1,6 @@
 // Parallel experiment executor: the thin façade that gives simulation code a
-// batch-of-jobs API over the shared work-stealing scheduler (sched::pool)
-// while keeping campaign results bit-identical at any thread count.
+// batch-of-jobs API over the shared FIFO worker pool (sched::pool) while
+// keeping campaign results bit-identical at any thread count.
 //
 // Determinism contract:
 //   * every job in a batch gets a `job_context` whose `stream_seed` is a pure
@@ -10,28 +10,20 @@
 //   * jobs share no mutable state — each builds its own SoC, accumulates into
 //     its own result struct, and the merge happens after the join.
 //
-// Scheduling (wall-clock only, never results): a batch with cost hints is
-// placed across the workers' deques with sched::balanced_assignment — each
-// worker's share pushed cheapest-first so its LIFO pop order runs its own
-// longest job first — and workers that drain early steal FIFO from the
-// others, which is what corrects a hint that lied. `scheduler_stats()`
-// exposes the per-worker executed/stolen/busy counters next to the per-job
-// timing summary.
+// Scheduling (wall-clock only, never results): jobs are posted to the pool's
+// one queue in submission order and start in that order. `scheduler_stats()`
+// exposes the pool's executed/busy counters next to the per-job timing
+// summary.
 //
 // A job that throws does not poison the pool: the exception is captured in
 // the job's future and rethrown to the caller at join time; workers keep
-// draining the queues.
+// draining the queue.
 #pragma once
 
-#include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <functional>
 #include <future>
 #include <memory>
-#include <mutex>
-#include <numeric>
-#include <span>
 #include <type_traits>
 #include <vector>
 
@@ -40,7 +32,6 @@
 #include "obs/histogram.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "sched/placement.h"
 #include "sched/pool.h"
 
 namespace meek::sim {
@@ -54,7 +45,7 @@ struct job_context {
 
 // Aggregate wall-time of completed indexed jobs: the shard-skew view. A
 // campaign whose max is many times its mean is dominated by one long shard
-// and wants smaller shards (or stealing), not more threads.
+// and wants smaller shards, not more threads.
 struct executor_timing {
     std::size_t jobs = 0;
     double min_ms = 0.0;
@@ -109,10 +100,9 @@ public:
     void contribute_metrics(obs::metrics_snapshot& snap,
                             std::string_view prefix = "pool") const;
 
-    // The scheduler's own per-worker counters: tasks executed, tasks stolen,
-    // steal probes, busy wall time. Steals > 0 on a skewed batch is the
-    // work-stealing layer doing its job. The snapshot is wait-free (relaxed
-    // atomics) — cheap enough to read between batches.
+    // The pool's own counters: tasks executed and busy wall time. The
+    // snapshot is wait-free (relaxed atomics) — cheap enough to read between
+    // batches.
     sched::pool_stats scheduler_stats() const { return pool_.stats(); }
     void reset_scheduler_stats() { pool_.reset_stats(); }
 
@@ -164,8 +154,7 @@ public:
         // capture-heavy) body rides behind a shared_ptr like run_indexed's
         // packaged_task does.
         auto task = std::make_shared<decltype(body)>(std::move(body));
-        pool_.post(next_home_.fetch_add(1, std::memory_order_relaxed),
-                   [task] { (*task)(); });
+        pool_.post([task] { (*task)(); });
     }
 
     // Run `count` indexed jobs (fn: const job_context& -> R) and return the
@@ -173,20 +162,12 @@ public:
     // returns — including when one throws — so by-reference captures of
     // caller locals can never outlive the call; the lowest-index exception is
     // rethrown after the drain.
-    //
-    // `cost_hints` (optional; size must equal `count` when nonempty) drives
-    // cost-balanced placement across the worker deques; without hints the
-    // batch is dealt round-robin. Placement and stealing reorder *scheduling
-    // only*: stream seeds and result order are functions of the job index, so
-    // hinted and unhinted batches are bit-identical.
     template <class Fn>
-    auto run_indexed(std::size_t count, u64 base_seed, Fn fn,
-                     std::span<const double> cost_hints = {})
+    auto run_indexed(std::size_t count, u64 base_seed, Fn fn)
         -> std::vector<std::invoke_result_t<Fn&, const job_context&>> {
         using result_t = std::invoke_result_t<Fn&, const job_context&>;
         std::vector<std::future<result_t>> futures(count);
-        const batch_plan plan = plan_batch(count, cost_hints);
-        for (const std::size_t i : plan.push_order) {
+        for (std::size_t i = 0; i < count; ++i) {
             const job_context ctx{i, derive_stream_seed(base_seed, i)};
             // Each job's body is wall-clock timed into the pool's latency
             // histograms (queue wait = post to start, run = the body itself)
@@ -201,7 +182,7 @@ public:
                     return result;
                 });
             futures[i] = task->get_future();
-            pool_.post(plan.homes[i], [task] { (*task)(); });
+            pool_.post([task] { (*task)(); });
         }
         std::vector<result_t> results;
         results.reserve(count);
@@ -227,33 +208,10 @@ public:
         });
     }
 
-    // map with a per-item cost hint (hint_of: const Item& -> double); the
-    // batch is cost-balanced across the workers, results stay in item order.
-    template <class Item, class Fn, class HintOf>
-    auto map(const std::vector<Item>& items, u64 base_seed, Fn fn, HintOf hint_of)
-        -> std::vector<std::invoke_result_t<Fn&, const Item&, const job_context&>> {
-        std::vector<double> hints;
-        hints.reserve(items.size());
-        for (const Item& item : items) hints.push_back(hint_of(item));
-        return run_indexed(
-            items.size(), base_seed,
-            [&items, fn](const job_context& ctx) { return fn(items[ctx.index], ctx); },
-            hints);
-    }
-
 private:
-    // Where each job of a batch goes and in what order it is pushed.
-    struct batch_plan {
-        std::vector<std::size_t> homes;       // job index -> worker deque
-        std::vector<std::size_t> push_order;  // post() order over job indices
-    };
-    batch_plan plan_batch(std::size_t count, std::span<const double> cost_hints) const;
-
     void note_job(std::chrono::steady_clock::time_point posted,
                   std::chrono::steady_clock::time_point started,
                   std::chrono::steady_clock::time_point finished);
-
-    std::atomic<u64> next_home_{0};
 
     obs::atomic_log_histogram queue_wait_ns_;
     obs::atomic_log_histogram run_ns_;

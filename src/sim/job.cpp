@@ -42,10 +42,6 @@ run_outcome run_meek(const soc_config& cfg, const program& prog) {
     return out;
 }
 
-// cost_hint's per-instruction multiplier for a MEEK SoC with `little_cores`
-// checkers: a MEEK job also steps the fabric and every checker core.
-double meek_cost_factor(u32 little_cores) { return 1.5 + 0.25 * little_cores; }
-
 }  // namespace
 
 std::string outcome_invariant_error(const run_outcome& out, system_kind system,
@@ -119,10 +115,8 @@ run_outcome execute(const run_spec& spec) {
 }
 
 std::vector<run_outcome> execute_all(executor& ex, const std::vector<run_spec>& specs) {
-    return ex.map(
-        specs, /*base_seed=*/0,
-        [](const run_spec& spec, const job_context&) { return execute(spec); },
-        [](const run_spec& spec) { return cost_hint(spec); });
+    return ex.map(specs, /*base_seed=*/0,
+                  [](const run_spec& spec, const job_context&) { return execute(spec); });
 }
 
 u64 run_spec_fingerprint(const run_spec& spec) {
@@ -134,13 +128,6 @@ u64 run_spec_fingerprint(const run_spec& spec) {
     h.u(spec.instructions);
     h.u(spec.workload_seed);
     return h.h;
-}
-
-double cost_hint(const run_spec& spec) {
-    const double base = static_cast<double>(spec.instructions);
-    if (spec.sc.system != system_kind::meek) return base;
-    const soc_config cfg = spec.soc_override ? *spec.soc_override : spec.sc.soc();
-    return base * meek_cost_factor(cfg.num_little_cores);
 }
 
 }  // namespace meek::sim

@@ -84,9 +84,4 @@ std::vector<run_outcome> execute_all(executor& ex, const std::vector<run_spec>& 
 // outcome cache content-addressed.
 u64 run_spec_fingerprint(const run_spec& spec);
 
-// Relative wall-clock estimate for scheduling (submission ordering) only:
-// instructions scaled by how many cores the system keeps busy. Never affects
-// results.
-double cost_hint(const run_spec& spec);
-
 }  // namespace meek::sim

@@ -68,32 +68,12 @@ TEST(executor, throwing_job_neither_deadlocks_nor_poisons_the_pool) {
     EXPECT_EQ(after[3], 6u);
 }
 
-TEST(executor, cost_hints_reorder_scheduling_but_not_results) {
+TEST(executor, map_returns_results_in_item_order) {
     sim::executor ex(4);
-    // Hints in ascending cost: submission reverses, results must not.
-    std::vector<double> hints(32);
-    for (std::size_t i = 0; i < hints.size(); ++i) hints[i] = static_cast<double>(i);
-
-    const auto plain = ex.run_indexed(
-        32, 99, [](const sim::job_context& ctx) { return ctx.stream_seed; });
-    const auto hinted = ex.run_indexed(
-        32, 99, [](const sim::job_context& ctx) { return ctx.stream_seed; }, hints);
-    EXPECT_EQ(plain, hinted)
-        << "hints affect scheduling only: same seeds, same order";
-
-    // The hinted map overload matches the plain one item-for-item.
-    std::vector<int> items{5, 1, 9, 3};
-    const auto mapped = ex.map(
-        items, 7, [](int v, const sim::job_context&) { return v * 2; },
-        [](int v) { return static_cast<double>(v); });
+    const std::vector<int> items{5, 1, 9, 3};
+    const auto mapped =
+        ex.map(items, 7, [](int v, const sim::job_context&) { return v * 2; });
     EXPECT_EQ(mapped, (std::vector<int>{10, 2, 18, 6}));
-
-    // A wrong-sized hint vector is ignored rather than misapplied.
-    const std::vector<double> short_hints{1.0};
-    const auto fallback = ex.run_indexed(
-        8, 3, [](const sim::job_context& ctx) { return ctx.index; }, short_hints);
-    ASSERT_EQ(fallback.size(), 8u);
-    EXPECT_EQ(fallback[7], 7u);
 }
 
 TEST(executor, per_job_wall_time_feeds_the_timing_summary) {

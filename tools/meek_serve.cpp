@@ -258,8 +258,7 @@ int main(int argc, char** argv) {
                      "# cache: hits=%llu misses=%llu evictions=%llu hit_rate=%.1f%%\n"
                      "# outcomes: hits=%llu misses=%llu evictions=%llu hit_rate=%.1f%%\n"
                      "# job wall-time ms: min=%.2f mean=%.2f max=%.2f total=%.2f\n"
-                     "# sched: executed=%llu steals=%llu steal_attempts=%llu "
-                     "steal_success=%.1f%% busy_ms=%.2f\n",
+                     "# sched: executed=%llu busy_ms=%.2f\n",
                      count("service.requests"), count("service.rows"),
                      count("service.errors"), count("service.jobs"),
                      svc.pool().num_threads(), count("service.shed"),
@@ -272,10 +271,8 @@ int main(int argc, char** argv) {
                      static_cast<unsigned long long>(os.misses),
                      static_cast<unsigned long long>(os.evictions),
                      100.0 * os.hit_rate(), t.min_ms, t.mean_ms, t.max_ms,
-                     t.total_ms, static_cast<unsigned long long>(ps.executed()),
-                     static_cast<unsigned long long>(ps.steals()),
-                     static_cast<unsigned long long>(ps.steal_attempts()),
-                     100.0 * ps.steal_success_rate(), ps.busy_ms());
+                     t.total_ms, static_cast<unsigned long long>(ps.executed),
+                     ps.busy_ms);
     }
     return 0;
 }
